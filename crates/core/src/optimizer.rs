@@ -43,6 +43,9 @@ use crate::accuracy::achieved_delta;
 use crate::error::CoreError;
 use crate::query::Accuracy;
 
+/// The plan digest lives with the ledger that stores it.
+pub use prc_pricing::ledger::PlanSummary;
+
 /// How the broker estimates the sensitivity `Δγ̂` of the sampled estimator.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum SensitivityPolicy {
@@ -94,15 +97,10 @@ impl NetworkShape {
         if k == 0 || n == 0 {
             return Err(CoreError::NoSamples);
         }
-        let max_node_population = station
-            .node_samples()
-            .map(|s| s.population_size)
-            .max()
-            .unwrap_or(0);
         Ok(NetworkShape {
             k,
             n,
-            max_node_population,
+            max_node_population: station.max_node_population(),
         })
     }
 }
@@ -156,9 +154,9 @@ impl PerturbationPlan {
     }
 
     /// The plan's release-facing digest: the one place the noise
-    /// variance, budgets, and scale are derived for consumers
-    /// (the broker's release stage and the pricing ledger's settlement
-    /// records both render this instead of re-deriving formulas).
+    /// variance, budgets, and scale are derived for consumers (the
+    /// pricing ledger's settlement records carry it as-is and render it
+    /// only when printed).
     pub fn summary(&self) -> PlanSummary {
         PlanSummary {
             epsilon: self.epsilon.value(),
@@ -168,40 +166,6 @@ impl PerturbationPlan {
             noise_variance: self.noise_variance(),
             probability: self.probability,
         }
-    }
-}
-
-/// A `Display`/serde-friendly digest of a [`PerturbationPlan`]: the
-/// numbers a settlement record or log line needs, with the noise
-/// variance derived once from the plan's own scale.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PlanSummary {
-    /// Laplace budget `ε`.
-    pub epsilon: f64,
-    /// Effective (amplified) budget `ε′`.
-    pub effective_epsilon: f64,
-    /// Sensitivity `Δγ̂`.
-    pub sensitivity: f64,
-    /// Laplace noise scale `b`.
-    pub noise_scale: f64,
-    /// Noise variance `2b²`.
-    pub noise_variance: f64,
-    /// Sampling probability the plan assumes.
-    pub probability: f64,
-}
-
-impl std::fmt::Display for PlanSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ε={} ε′={} Δ={} b={} 2b²={} p={}",
-            self.epsilon,
-            self.effective_epsilon,
-            self.sensitivity,
-            self.noise_scale,
-            self.noise_variance,
-            self.probability
-        )
     }
 }
 
@@ -679,6 +643,64 @@ mod tests {
         assert_eq!(shape.k, 2);
         assert_eq!(shape.n, 100);
         assert_eq!(shape.max_node_population, 70);
+        // A changing ingest after a read moves the shape with it.
+        station.ingest(SampleMessage {
+            node_id: NodeId(1),
+            population_size: 20,
+            probability: 0.2,
+            entries: vec![],
+        });
+        let shape = NetworkShape::from_station(&station).unwrap();
+        assert_eq!((shape.k, shape.n, shape.max_node_population), (2, 50, 30));
+    }
+
+    /// The shape a from-scratch fold over the node records gives.
+    fn folded_shape(station: &BaseStation) -> Option<NetworkShape> {
+        let k = station.node_count();
+        let n: usize = station.node_samples().map(|s| s.population_size).sum();
+        let max_node_population = station
+            .node_samples()
+            .map(|s| s.population_size)
+            .max()
+            .unwrap_or(0);
+        (k > 0 && n > 0).then_some(NetworkShape {
+            k,
+            n,
+            max_node_population,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn shape_from_station_tracks_every_revision(
+            words in proptest::collection::vec(0u64..u64::MAX, 0..40),
+        ) {
+            use prc_net::message::{NodeId, SampleEntry, SampleMessage};
+            const POPULATIONS: [usize; 4] = [0, 10, 25, 50];
+            const PROBABILITIES: [f64; 4] = [1.0, 5e-324, 0.5, 0.25];
+            let mut station = BaseStation::new();
+            for &word in &words {
+                let rank = ((word >> 8) & 7) as u32;
+                station.ingest(SampleMessage {
+                    node_id: NodeId((word & 3) as u32),
+                    population_size: POPULATIONS[((word >> 2) & 3) as usize],
+                    probability: PROBABILITIES[((word >> 4) & 3) as usize],
+                    entries: if word & (1 << 6) == 0 {
+                        Vec::new()
+                    } else {
+                        vec![SampleEntry { value: f64::from(rank), rank }]
+                    },
+                });
+                let shape = NetworkShape::from_station(&station).ok();
+                proptest::prop_assert_eq!(shape, folded_shape(&station));
+                proptest::prop_assert_eq!(
+                    NetworkShape::from_station(&station.clone()).ok(),
+                    shape
+                );
+            }
+        }
     }
 
     #[test]

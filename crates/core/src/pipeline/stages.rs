@@ -439,13 +439,11 @@ impl Settle<'_> {
         cache_store(broker, &self.answer);
         let (price, settlement) = match (self.quote, self.buyer, &mut broker.pricing) {
             (Some(quote), Some(buyer), Some(engine)) => {
-                let summary = self.answer.plan.summary();
                 let sequence = engine.settle(Settlement {
                     buyer: buyer.to_owned(),
                     demand: quote.demand,
                     price: quote.price,
-                    noise_variance: summary.noise_variance,
-                    plan: summary.to_string(),
+                    plan: self.answer.plan.summary(),
                 });
                 broker.counters.settlements += 1;
                 (Some(quote.price), Some(sequence))

@@ -142,9 +142,12 @@ pub(crate) mod scope {
     }
 
     /// Test scope: fixtures, integration tests, benches, examples, and
-    /// the whole benchmark crate are exempt from every production rule.
+    /// the two whole benchmark crates (`crates/bench` and the end-to-end
+    /// `perfbench`, which times and asserts from outside the library)
+    /// are exempt from every production rule.
     pub fn is_test_path(path: &str) -> bool {
         starts_with_components(path, &["crates", "bench"])
+            || starts_with_components(path, &["perfbench"])
             || path
                 .split('/')
                 .any(|c| c == "tests" || c == "benches" || c == "examples" || c == "fixtures")
@@ -645,11 +648,38 @@ mod tests {
         );
         assert!(scope::is_test_path("crates/bench/src/x.rs"));
         assert!(!scope::is_test_path("crates/bench2/src/x.rs"));
+        assert!(!scope::is_test_path("perfbench2/src/x.rs"));
         assert!(scope::is_pipeline_path("crates/core/src/pipeline/mod.rs"));
         assert!(!scope::is_pipeline_path("crates/core/src/pipeline2/mod.rs"));
         assert!(!scope::is_deterministic_path(
             "crates/core/src/estimator2/x.rs"
         ));
+    }
+
+    #[test]
+    fn perfbench_is_test_scope_and_crate_sources_stay_library() {
+        for path in [
+            "perfbench/src/main.rs",
+            "perfbench/src/common.rs",
+            "perfbench/src/market.rs",
+        ] {
+            assert!(scope::is_test_path(path), "{path}");
+            assert!(!scope::is_library_path(path), "{path}");
+        }
+        let unwrap = "fn f() { x.unwrap(); }\n";
+        assert!(lint_source("perfbench/src/common.rs", unwrap).is_empty());
+        for path in [
+            "crates/core/src/broker.rs",
+            "crates/net/src/base_station.rs",
+            "crates/pricing/src/ledger.rs",
+        ] {
+            assert!(!scope::is_test_path(path), "{path}");
+            assert!(scope::is_library_path(path), "{path}");
+        }
+        assert_eq!(
+            rules_of(&lint_source("crates/pricing/src/ledger.rs", unwrap)),
+            vec!["P001"]
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The base station: per-node sample sets and top-up orchestration.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::message::{NodeId, SampleEntry, SampleMessage};
 
@@ -114,6 +115,61 @@ pub struct BaseStation {
     /// unchanged, the sample state is byte-identical.
     #[serde(default)]
     revision: u64,
+    /// Aggregates of the current revision, folded on first read and
+    /// reset by every changing [`BaseStation::ingest`]. A `OnceLock`, not
+    /// a `Cell`, because batch fan-out shares `&BaseStation` across pool
+    /// workers.
+    #[serde(skip)]
+    summary: OnceLock<StationSummary>,
+}
+
+/// Station-wide aggregates of one revision: everything the broker's
+/// per-request stages read about the station as a whole.
+#[derive(Debug, Clone, Copy)]
+struct StationSummary {
+    total_population: usize,
+    total_samples: usize,
+    max_node_population: usize,
+    effective_probability: f64,
+    uniform_probability: Option<f64>,
+}
+
+impl StationSummary {
+    /// One pass over the node records, in node-id order.
+    fn fold(samples: &BTreeMap<NodeId, NodeSample>) -> Self {
+        let mut total_population = 0;
+        let mut total_samples = 0;
+        let mut max_node_population = 0;
+        let mut min_probability = f64::INFINITY;
+        // Bits of the first data-bearing node's probability, and whether
+        // every later data-bearing node matched them.
+        let mut shared_bits: Option<u64> = None;
+        let mut uniform = true;
+        for sample in samples.values() {
+            total_population += sample.population_size;
+            total_samples += sample.entries.len();
+            max_node_population = max_node_population.max(sample.population_size);
+            min_probability = min_probability.min(sample.probability);
+            if sample.population_size > 0 {
+                let bits = sample.probability.to_bits();
+                match shared_bits {
+                    None => shared_bits = Some(bits),
+                    Some(prev) => uniform &= prev == bits,
+                }
+            }
+        }
+        let ceiling = if samples.is_empty() { 0.0 } else { 1.0 };
+        StationSummary {
+            total_population,
+            total_samples,
+            max_node_population,
+            effective_probability: min_probability.clamp(0.0, 1.0).min(ceiling),
+            uniform_probability: shared_bits
+                .filter(|_| uniform)
+                .map(f64::from_bits)
+                .filter(|&p| p > 0.0),
+        }
+    }
 }
 
 /// Sample-state equality: two stations are equal when every node holds
@@ -161,6 +217,7 @@ impl BaseStation {
         };
         if changed {
             self.revision += 1;
+            self.summary = OnceLock::new();
             if let Some(sample) = self.samples.get_mut(&node_id) {
                 sample.last_changed = self.revision;
             }
@@ -194,14 +251,32 @@ impl BaseStation {
         self.samples.len()
     }
 
+    /// The aggregates of the current revision.
+    fn summary(&self) -> &StationSummary {
+        self.summary
+            .get_or_init(|| StationSummary::fold(&self.samples))
+    }
+
     /// Total population `n = Σ n_i` across reporting nodes.
+    ///
+    /// O(1) amortized; recomputed once per changing revision.
     pub fn total_population(&self) -> usize {
-        self.samples.values().map(|s| s.population_size).sum()
+        self.summary().total_population
     }
 
     /// Total number of samples held.
+    ///
+    /// O(1) amortized; recomputed once per changing revision.
     pub fn total_samples(&self) -> usize {
-        self.samples.values().map(NodeSample::len).sum()
+        self.summary().total_samples
+    }
+
+    /// The largest claimed population `max_i n_i` across reporting
+    /// nodes, or `0` when no node has reported.
+    ///
+    /// O(1) amortized; recomputed once per changing revision.
+    pub fn max_node_population(&self) -> usize {
+        self.summary().max_node_population
     }
 
     /// The minimum cumulative sampling probability across reporting
@@ -209,13 +284,10 @@ impl BaseStation {
     ///
     /// This is the probability the RankCounting estimator may assume for
     /// the whole network.
+    ///
+    /// O(1) amortized; recomputed once per changing revision.
     pub fn effective_probability(&self) -> f64 {
-        self.samples
-            .values()
-            .map(|s| s.probability)
-            .fold(f64::INFINITY, f64::min)
-            .clamp(0.0, 1.0)
-            .min(if self.samples.is_empty() { 0.0 } else { 1.0 })
+        self.summary().effective_probability
     }
 
     /// Per-node sample sets, in node-id order.
@@ -249,18 +321,10 @@ impl BaseStation {
     /// index can represent the whole station with one `1/p` correction
     /// term; heterogeneous stations (e.g. after partial failures) return
     /// `None` and estimators fall back to the per-node path.
+    ///
+    /// O(1) amortized; recomputed once per changing revision.
     pub fn uniform_probability(&self) -> Option<f64> {
-        let mut bits: Option<u64> = None;
-        for sample in self.data_bearing_samples() {
-            let b = sample.probability.to_bits();
-            match bits {
-                None => bits = Some(b),
-                Some(prev) if prev == b => {}
-                Some(_) => return None,
-            }
-        }
-        let p = f64::from_bits(bits?);
-        (p > 0.0).then_some(p)
+        self.summary().uniform_probability
     }
 
     /// Nodes whose cumulative probability is below `target` (the set that

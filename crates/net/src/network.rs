@@ -230,11 +230,18 @@ pub trait Network {
     }
 }
 
+/// `n = Σ n_i` over a driver's nodes, summed once at construction.
+pub(crate) fn total_population(nodes: &[SensorNode]) -> usize {
+    nodes.iter().map(SensorNode::population_size).sum()
+}
+
 /// The paper's flat network: `k` sensor nodes reporting directly to one
 /// base station.
 #[derive(Debug)]
 pub struct FlatNetwork {
     nodes: Vec<SensorNode>,
+    /// `Σ n_i` over `nodes`, kept in step by [`FlatNetwork::add_node`].
+    total_data_size: usize,
     station: BaseStation,
     meter: CostMeter,
     failure: FailurePlan,
@@ -249,12 +256,13 @@ impl FlatNetwork {
     /// Panics if `partitions` is empty.
     pub fn from_partitions(partitions: Vec<Vec<f64>>, seed: u64) -> Self {
         assert!(!partitions.is_empty(), "network needs at least one node");
-        let nodes = partitions
+        let nodes: Vec<SensorNode> = partitions
             .into_iter()
             .enumerate()
             .map(|(i, data)| SensorNode::new(NodeId(i as u32), data, seed))
             .collect();
         FlatNetwork {
+            total_data_size: total_population(&nodes),
             nodes,
             station: BaseStation::new(),
             meter: CostMeter::new(),
@@ -297,7 +305,9 @@ impl FlatNetwork {
     /// station's live state).
     pub fn add_node(&mut self, data: Vec<f64>, seed: u64) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(SensorNode::new(id, data, seed));
+        let node = SensorNode::new(id, data, seed);
+        self.total_data_size += node.population_size();
+        self.nodes.push(node);
         id
     }
 
@@ -308,7 +318,7 @@ impl FlatNetwork {
 
     /// Total data elements across all nodes, `n = |D|`.
     pub fn total_data_size(&self) -> usize {
-        self.nodes.iter().map(SensorNode::population_size).sum()
+        self.total_data_size
     }
 
     /// The base station's view of collected samples.
@@ -467,6 +477,8 @@ impl Network for FlatNetwork {
 #[derive(Debug)]
 pub struct ThreadedNetwork {
     nodes: Vec<SensorNode>,
+    /// `Σ n_i` over `nodes`, fixed at construction.
+    total_data_size: usize,
     station: BaseStation,
     meter: CostMeter,
     failure: FailurePlan,
@@ -486,12 +498,13 @@ impl ThreadedNetwork {
     /// Panics if `partitions` is empty.
     pub fn from_partitions(partitions: Vec<Vec<f64>>, seed: u64) -> Self {
         assert!(!partitions.is_empty(), "network needs at least one node");
-        let nodes = partitions
+        let nodes: Vec<SensorNode> = partitions
             .into_iter()
             .enumerate()
             .map(|(i, data)| SensorNode::new(NodeId(i as u32), data, seed))
             .collect();
         ThreadedNetwork {
+            total_data_size: total_population(&nodes),
             nodes,
             station: BaseStation::new(),
             meter: CostMeter::new(),
@@ -517,7 +530,7 @@ impl ThreadedNetwork {
 
     /// Total data elements across all nodes.
     pub fn total_data_size(&self) -> usize {
-        self.nodes.iter().map(SensorNode::population_size).sum()
+        self.total_data_size
     }
 
     /// The base station's view of collected samples.

@@ -20,7 +20,7 @@
 use crate::base_station::BaseStation;
 use crate::failure::{FailurePlan, LossMode};
 use crate::message::{Message, NodeId, SampleMessage, MESSAGE_HEADER_BYTES};
-use crate::network::{CostMeter, Network};
+use crate::network::{total_population, CostMeter, Network};
 use crate::node::SensorNode;
 use crate::trace::{TraceEvent, Tracer};
 
@@ -45,6 +45,8 @@ pub const AGGREGATE_MESSAGE_BYTES: usize = MESSAGE_HEADER_BYTES + 8;
 #[derive(Debug)]
 pub struct TreeNetwork {
     nodes: Vec<SensorNode>,
+    /// `Σ n_i` over `nodes`, fixed at construction.
+    total_data_size: usize,
     /// `parent[i]` is the index of node `i`'s parent, or `None` for
     /// children of the base station (the tree's roots).
     parent: Vec<Option<usize>>,
@@ -86,6 +88,7 @@ impl TreeNetwork {
             }
         }
         TreeNetwork {
+            total_data_size: total_population(&nodes),
             nodes,
             parent,
             depth,
@@ -113,7 +116,7 @@ impl TreeNetwork {
 
     /// Total data elements across all nodes.
     pub fn total_data_size(&self) -> usize {
-        self.nodes.iter().map(SensorNode::population_size).sum()
+        self.total_data_size
     }
 
     /// Hop distance of node `i` from the base station.

@@ -12,8 +12,8 @@
 //! 2. the broker runs its private pipeline (reserve → collect →
 //!    estimate → perturb);
 //! 3. **Settle** calls [`PricingEngine::settle`] with the released
-//!    answer's noise variance and plan summary, which the ledger records
-//!    alongside the sale.
+//!    answer's plan digest (noise variance included), which the ledger
+//!    records alongside the sale.
 //!
 //! [`PostedPriceEngine`] is the canonical implementation: a posted price
 //! curve over a variance model, with per-demand arbitrage certification
@@ -26,7 +26,7 @@ use std::fmt::Debug;
 use crate::arbitrage::{find_arbitrage, AttackConfig};
 use crate::error::PricingError;
 use crate::functions::PricingFunction;
-use crate::ledger::TradeLedger;
+use crate::ledger::{PlanSummary, TradeLedger};
 use crate::reuse::Demand;
 use crate::variance::VarianceModel;
 
@@ -51,10 +51,9 @@ pub struct Settlement {
     pub demand: Demand,
     /// The price quoted at admission (what the buyer pays).
     pub price: f64,
-    /// Laplace noise variance of the released answer.
-    pub noise_variance: f64,
-    /// Rendered perturbation-plan summary of the released answer.
-    pub plan: String,
+    /// Perturbation-plan digest of the released answer, including its
+    /// Laplace noise variance.
+    pub plan: PlanSummary,
 }
 
 /// A pricing authority the broker's query pipeline can transact with.
@@ -96,6 +95,7 @@ pub trait PricingEngine: Debug + Send + Sync {
 /// ```
 /// use prc_pricing::engine::{PostedPriceEngine, PricingEngine, Settlement};
 /// use prc_pricing::functions::InverseVariancePricing;
+/// use prc_pricing::ledger::PlanSummary;
 /// use prc_pricing::reuse::Demand;
 /// use prc_pricing::variance::ChebyshevVariance;
 ///
@@ -107,11 +107,17 @@ pub trait PricingEngine: Debug + Send + Sync {
 ///     buyer: "alice".into(),
 ///     demand: quote.demand,
 ///     price: quote.price,
-///     noise_variance: 3.2,
-///     plan: "ε=0.9".into(),
+///     plan: PlanSummary {
+///         epsilon: 0.9,
+///         effective_epsilon: 0.5,
+///         sensitivity: 1.125,
+///         noise_scale: 1.25,
+///         noise_variance: 3.125,
+///         probability: 0.6,
+///     },
 /// });
 /// assert_eq!(seq, 0);
-/// assert_eq!(engine.ledger().len(), 1);
+/// assert_eq!(engine.ledger().records()[0].noise_variance, Some(3.125));
 /// ```
 #[derive(Debug)]
 pub struct PostedPriceEngine<F, M> {
@@ -192,12 +198,11 @@ where
 
     fn settle(&mut self, settlement: Settlement) -> u64 {
         self.ledger.record_settlement(
-            &settlement.buyer,
+            settlement.buyer,
             settlement.demand.alpha,
             settlement.demand.delta,
             settlement.price,
-            settlement.noise_variance,
-            &settlement.plan,
+            settlement.plan,
         )
     }
 
@@ -277,17 +282,25 @@ mod tests {
     fn settlements_land_in_the_ledger() {
         let mut e = engine();
         let quote = e.quote(Demand::new(0.05, 0.8)).unwrap();
+        let plan = PlanSummary {
+            epsilon: 1.0,
+            effective_epsilon: 0.6,
+            sensitivity: 1.1,
+            noise_scale: 1.1,
+            noise_variance: 2.5,
+            probability: 0.5,
+        };
         let seq = e.settle(Settlement {
             buyer: "alice".into(),
             demand: quote.demand,
             price: quote.price,
-            noise_variance: 2.5,
-            plan: "ε=1.0 b=1.1".into(),
+            plan,
         });
         assert_eq!(seq, 0);
         let record = &e.ledger().records()[0];
         assert_eq!(record.buyer, "alice");
         assert_eq!(record.noise_variance, Some(2.5));
+        assert_eq!(record.plan, Some(plan));
         assert!((record.price - quote.price).abs() < 1e-12);
     }
 

@@ -65,6 +65,6 @@ pub use functions::{
     SqrtPrecisionPricing,
 };
 pub use history::{HistoryAwarePricing, PrecisionPricing};
-pub use ledger::TradeLedger;
+pub use ledger::{PlanSummary, TradeLedger};
 pub use reuse::{Demand, PostedPriceReuse, ReuseGuard};
 pub use variance::{ChebyshevVariance, VarianceModel};

@@ -330,6 +330,25 @@ mod tests {
     use super::*;
 
     #[test]
+    fn pools_tear_down_without_losing_the_shutdown_wakeup() {
+        // Dropping a pool right after its workers park is the window
+        // where an unlocked shutdown notification used to be lost.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..2_000 {
+                drop(Runtime::builder().workers(4).build());
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .is_ok(),
+            "pool teardown deadlocked"
+        );
+    }
+
+    #[test]
     fn map_chunked_preserves_input_order() {
         let rt = Runtime::builder().workers(4).build();
         let items: Vec<usize> = (0..103).collect();

@@ -217,7 +217,14 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the queue lock: a worker that has just
+        // found the queue empty and the flag clear still holds the lock,
+        // so it reaches `wait` before the notification below and cannot
+        // miss it (a lost wakeup here hangs the join forever).
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_ready.notify_all();
         for handle in self.workers.drain(..) {
             // A worker panic has already been captured and re-raised by

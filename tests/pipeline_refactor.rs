@@ -414,8 +414,9 @@ fn priced_end_to_end_transaction_settles_in_the_ledger() {
         record.noise_variance,
         Some(priced.answer.plan.noise_variance())
     );
+    assert_eq!(record.plan, Some(priced.answer.plan.summary()));
     assert_eq!(
-        record.plan.as_deref(),
+        record.plan.map(|plan| plan.to_string()).as_deref(),
         Some(priced.answer.plan.summary().to_string().as_str())
     );
     assert!((record.price - expected_price).abs() < 1e-9);
