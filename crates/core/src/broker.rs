@@ -19,8 +19,10 @@
 //! synchronized with. A collection round no longer discards the index —
 //! before every use the slot is revalidated against the station's
 //! revision journal, and a drifted generation absorbs the exact
-//! changed-node delta ([`QueryIndex::absorb_delta`], `O(Δ log Δ)`)
-//! instead of rebuilding from scratch. External mutation through
+//! changed-node delta ([`QueryIndex::absorb_delta`]: a linear
+//! `O(S_touched + Δ log Δ)` rewrite for nodes that topped up,
+//! `O(Δ log Δ)` for replaced ones) instead of rebuilding from scratch.
+//! External mutation through
 //! [`DataBroker::network_mut`] flows through the same journal, so a
 //! stale generation can never serve.
 //!

@@ -1,9 +1,11 @@
-//! Shared merge machinery: per-node runs, deterministic k-way merge,
-//! and the prefix/suffix structure-of-arrays every index variant
-//! queries.
+//! Shared merge machinery: per-node runs, the deterministic merges of
+//! sorted runs, and the prefix/suffix structure-of-arrays every index
+//! variant queries.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::iter::Zip;
+use std::slice;
 
 use prc_net::message::SampleEntry;
 use prc_runtime::{CutoffPolicy, Runtime};
@@ -19,63 +21,21 @@ pub(crate) struct RunSource<'a> {
     pub population: i64,
 }
 
-/// One merged entry with its telescoping deltas, produced per node before
-/// the merge (a node's neighbours in merged order are its neighbours in
-/// its own rank-sorted slice).
+/// One merged entry, ordered ascending by `(value, node, rank)` — a
+/// total order because `(node, rank)` is unique, so the merged order
+/// (and the arrays it produces) is deterministic regardless of sharding,
+/// thread count, or how the entries were grouped into runs.
+///
+/// A node's entries in rank order are value-sorted under
+/// [`f64::total_cmp`] (nodes sort their data that way), so each node's
+/// entries form one ascending run of keys.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct MergedEntry {
-    value: f64,
-    /// Dense node index (position among the merge's sources) — merge
-    /// tie-break only; never affects the accumulated aggregates.
-    node: u32,
-    /// Local rank — merge tie-break for within-node duplicates.
-    rank: u32,
-    /// `rank − rank_prev` (`rank` for the node's first entry).
-    pred_delta: i64,
-    /// `rank − rank_next` (`rank` for the node's last entry).
-    succ_delta: i64,
-    /// This is the node's first entry (opens its predecessor case).
-    first: bool,
-    /// This is the node's last entry (closes its successor case).
-    last: bool,
-    /// `n_i` on the node's last entry, else `0` (suffix population sum).
-    pop: i64,
-}
-
-fn merged_entry(source: RunSource<'_>, dense: u32, pos: usize) -> MergedEntry {
-    let entries = source.entries;
-    let e = entries[pos];
-    let prev = if pos > 0 {
-        i64::from(entries[pos - 1].rank)
-    } else {
-        0
-    };
-    let next = if pos + 1 < entries.len() {
-        i64::from(entries[pos + 1].rank)
-    } else {
-        0
-    };
-    let last = pos + 1 == entries.len();
-    MergedEntry {
-        value: e.value,
-        node: dense,
-        rank: e.rank,
-        pred_delta: i64::from(e.rank) - prev,
-        succ_delta: i64::from(e.rank) - next,
-        first: pos == 0,
-        last,
-        pop: if last { source.population } else { 0 },
-    }
-}
-
-/// Heap key: ascending `(value, node, rank)` — a total order because
-/// `(node, rank)` is unique, so the merged order (and the arrays it
-/// produces) is deterministic regardless of sharding or thread count.
-#[derive(Debug, Clone, Copy)]
-struct MergeKey {
-    value: f64,
-    node: u32,
-    rank: u32,
+pub(crate) struct MergeKey {
+    pub value: f64,
+    /// Dense node index: the node's position among the merge's sources.
+    pub node: u32,
+    /// The entry's 1-based rank within its node's data.
+    pub rank: u32,
 }
 
 impl PartialEq for MergeKey {
@@ -98,90 +58,154 @@ impl Ord for MergeKey {
     }
 }
 
-/// K-way merges already-sorted runs of entries into one sorted vector.
-fn merge_runs(runs: Vec<Vec<MergedEntry>>, capacity: usize) -> Vec<MergedEntry> {
-    let mut runs: Vec<Vec<MergedEntry>> = runs.into_iter().filter(|r| !r.is_empty()).collect();
-    if runs.len() == 1 {
-        return runs.pop().unwrap_or_default();
-    }
-    let mut heap: BinaryHeap<std::cmp::Reverse<(MergeKey, usize)>> =
-        BinaryHeap::with_capacity(runs.len());
-    let mut cursors = vec![0usize; runs.len()];
-    for (r, run) in runs.iter().enumerate() {
-        if let Some(&e) = run.first() {
-            heap.push(std::cmp::Reverse((
-                MergeKey {
-                    value: e.value,
-                    node: e.node,
-                    rank: e.rank,
-                },
-                r,
-            )));
+/// An ascending sequence of merge keys in structure-of-arrays form:
+/// entry `j` is `values[j]` of dense node `nodes[j]` at rank `ranks[j]`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Sequence {
+    values: Vec<f64>,
+    nodes: Vec<u32>,
+    ranks: Vec<u32>,
+}
+
+impl Sequence {
+    fn with_capacity(capacity: usize) -> Sequence {
+        Sequence {
+            values: Vec::with_capacity(capacity),
+            nodes: Vec::with_capacity(capacity),
+            ranks: Vec::with_capacity(capacity),
         }
     }
-    let mut merged = Vec::with_capacity(capacity);
-    while let Some(std::cmp::Reverse((_, r))) = heap.pop() {
-        let pos = cursors[r];
-        merged.push(runs[r][pos]);
-        cursors[r] += 1;
-        if let Some(e) = runs[r].get(cursors[r]) {
-            heap.push(std::cmp::Reverse((
-                MergeKey {
-                    value: e.value,
-                    node: e.node,
-                    rank: e.rank,
-                },
-                r,
-            )));
+
+    /// Collects ascending keys.
+    pub fn from_sorted(keys: &[MergeKey]) -> Sequence {
+        let mut sequence = Sequence::with_capacity(keys.len());
+        for &key in keys {
+            sequence.push(key);
+        }
+        sequence
+    }
+
+    fn push(&mut self, key: MergeKey) {
+        self.values.push(key.value);
+        self.nodes.push(key.node);
+        self.ranks.push(key.rank);
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+}
+
+/// The unread entries of one input of [`merge_linear`]: a sequence
+/// whose dense node `d` is renamed `remap[d]`, entries of nodes remapped
+/// to `None` skipped (`remap: None` keeps every node as it is).
+struct Cursor<'a> {
+    entries: Zip<Zip<slice::Iter<'a, f64>, slice::Iter<'a, u32>>, slice::Iter<'a, u32>>,
+    remap: Option<&'a [Option<u32>]>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(sequence: &'a Sequence, remap: Option<&'a [Option<u32>]>) -> Cursor<'a> {
+        let entries = sequence
+            .values
+            .iter()
+            .zip(&sequence.nodes)
+            .zip(&sequence.ranks);
+        Cursor { entries, remap }
+    }
+
+    /// The next kept key.
+    fn next_key(&mut self) -> Option<MergeKey> {
+        for ((&value, &node), &rank) in &mut self.entries {
+            let node = match self.remap {
+                None => Some(node),
+                Some(remap) => remap.get(node as usize).copied().flatten(),
+            };
+            if let Some(node) = node {
+                return Some(MergeKey { value, node, rank });
+            }
+        }
+        None
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// Merges a few ascending inputs into one sequence in linear time: each
+/// step scans the heads for the smallest, then copies that input's
+/// whole stretch below the runner-up. A remap must preserve the order
+/// of the nodes it keeps, so every remapped input stays ascending.
+fn merge_linear(mut cursors: Vec<Cursor<'_>>) -> Sequence {
+    let mut merged = Sequence::with_capacity(cursors.iter().map(Cursor::len).sum());
+    let mut heads: Vec<Option<MergeKey>> = cursors.iter_mut().map(Cursor::next_key).collect();
+    loop {
+        let mut best: Option<(usize, MergeKey)> = None;
+        let mut bound: Option<MergeKey> = None;
+        for (i, head) in heads.iter().enumerate() {
+            let Some(key) = *head else { continue };
+            match best {
+                Some((_, b)) if b < key => {
+                    if bound.is_none_or(|runner_up| key < runner_up) {
+                        bound = Some(key);
+                    }
+                }
+                _ => {
+                    bound = best.map(|(_, b)| b);
+                    best = Some((i, key));
+                }
+            }
+        }
+        let Some((i, mut key)) = best else { break };
+        let cursor = &mut cursors[i];
+        heads[i] = loop {
+            merged.push(key);
+            match cursor.next_key() {
+                Some(next) if bound.is_none_or(|runner_up| next < runner_up) => key = next,
+                next => break next,
+            }
+        };
+    }
+    merged
+}
+
+/// Heap-merges one shard (a contiguous group of sources, many short
+/// runs) into a sorted sequence.
+fn merge_shard(group: &[RunSource<'_>], dense_base: u32) -> Sequence {
+    let capacity = group.iter().map(|s| s.entries.len()).sum();
+    let key = |entry: &SampleEntry, node: u32| MergeKey {
+        value: entry.value,
+        node,
+        rank: entry.rank,
+    };
+    let mut heap: BinaryHeap<Reverse<(MergeKey, usize)>> = (group.iter().zip(dense_base..))
+        .filter_map(|(source, node)| source.entries.first().map(|e| Reverse((key(e, node), 0))))
+        .collect();
+    let mut merged = Sequence::with_capacity(capacity);
+    while let Some(Reverse((head, pos))) = heap.pop() {
+        merged.push(head);
+        let next = group
+            .get((head.node - dense_base) as usize)
+            .and_then(|source| source.entries.get(pos + 1));
+        if let Some(e) = next {
+            heap.push(Reverse((key(e, head.node), pos + 1)));
         }
     }
     merged
 }
 
-/// Merges one shard (a contiguous group of sources) into a sorted run.
-fn merge_shard(group: &[RunSource<'_>], dense_base: u32) -> Vec<MergedEntry> {
-    let capacity: usize = group.iter().map(|s| s.entries.len()).sum();
-    let runs: Vec<Vec<MergedEntry>> = group
-        .iter()
-        .enumerate()
-        .map(|(i, &source)| {
-            let dense = dense_base + i as u32;
-            (0..source.entries.len())
-                .map(|pos| merged_entry(source, dense, pos))
-                .collect()
-        })
-        .collect();
-    merge_runs(runs, capacity)
-}
-
 /// Below this many merged entries the pool fan-out costs more than the
 /// merge itself (dispatch is microseconds; so is the whole merge) —
-/// delta segments and small compactions stay on the calling thread. The
-/// sequential path assigns the same dense indices and the merge key is a
-/// total order, so the cutoff never changes the produced arrays, only
-/// who builds them.
+/// delta segments stay on the calling thread. The sequential path
+/// assigns the same dense indices and the merge key is a total order,
+/// so the cutoff never changes the produced arrays, only who builds
+/// them.
 const MERGE_CUTOFF: CutoffPolicy = CutoffPolicy::min_work(1 << 15);
 
-/// Merges every source's entries into one deterministic value-sorted run,
-/// sharding contiguous source groups over the shared [`Runtime`] pool
-/// once the input is large enough to amortize the fan-out.
-///
-/// Dense node indices come from each source's global position (the
-/// chunk's input offset), so any chunking — including the sequential
-/// single chunk — produces identical runs and an identical final merge.
-///
-/// # Panics
-///
-/// Only to propagate a shard worker's panic, re-raised through the
-/// runtime's single panic path ([`Runtime::map_chunked`]); the merge
-/// itself does not panic.
-fn parallel_merge(sources: &[RunSource<'_>]) -> Vec<MergedEntry> {
-    let total_entries: usize = sources.iter().map(|s| s.entries.len()).sum();
-    let runs = Runtime::global().map_chunked(sources, total_entries, MERGE_CUTOFF, |chunk| {
-        merge_shard(chunk.items, chunk.offset as u32)
-    });
-    merge_runs(runs, total_entries)
-}
+/// Sentinel rank of a node an accumulation pass has not met yet (real
+/// ranks are non-negative).
+const UNSEEN: i64 = -1;
 
 /// The value-sorted prefix/suffix structure-of-arrays at the heart of
 /// every index variant: five integer aggregates plus the merged values,
@@ -189,8 +213,10 @@ fn parallel_merge(sources: &[RunSource<'_>]) -> Vec<MergedEntry> {
 /// five lookups.
 #[derive(Debug, Clone)]
 pub(crate) struct MergedArrays {
-    /// Merged sample values, sorted ascending (`S` entries).
-    values: Vec<f64>,
+    /// The merged entries (`S`): values sorted ascending, with each
+    /// entry's dense node and rank kept so a rewrite can re-merge them
+    /// linearly.
+    sequence: Sequence,
     /// `cum_pred_rank[c] = R_pred(c)`: Σ over nodes of the rank of their
     /// last entry among the first `c` merged entries.
     cum_pred_rank: Vec<i64>,
@@ -212,47 +238,51 @@ pub(crate) struct MergedArrays {
 }
 
 impl MergedArrays {
-    /// Builds the arrays over `sources` in one parallel merge plus one
-    /// sequential accumulation pass: `O(S log S)` total work.
+    /// Builds the arrays over `sources` (dense node `i` = `sources[i]`):
+    /// contiguous source groups are heap-merged in parallel over the
+    /// shared [`Runtime`] pool once the input is large enough to amortize
+    /// the fan-out, the shard sequences merged linearly, and the result
+    /// accumulated — `O(S log k)` total work.
+    ///
+    /// Dense node indices come from each source's global position (the
+    /// chunk's input offset), so any chunking — including the sequential
+    /// single chunk — produces identical arrays.
+    ///
+    /// # Panics
+    ///
+    /// Only to propagate a shard worker's panic, re-raised through the
+    /// runtime's single panic path ([`Runtime::map_chunked`]); the merge
+    /// itself does not panic.
     pub fn build(sources: &[RunSource<'_>]) -> MergedArrays {
-        let total_population: i64 = sources.iter().map(|s| s.population).sum();
-        let merged = parallel_merge(sources);
+        let total_entries: usize = sources.iter().map(|s| s.entries.len()).sum();
+        let mut shards =
+            Runtime::global().map_chunked(sources, total_entries, MERGE_CUTOFF, |chunk| {
+                merge_shard(chunk.items, chunk.offset as u32)
+            });
+        let merged = match shards.len() {
+            1 => shards.pop().unwrap_or_default(),
+            _ => merge_linear(shards.iter().map(|s| Cursor::new(s, None)).collect()),
+        };
+        let populations: Vec<i64> = sources.iter().map(|s| s.population).collect();
+        accumulate(merged, &populations)
+    }
 
-        let s = merged.len();
-        let mut values = Vec::with_capacity(s);
-        let mut cum_pred_rank = Vec::with_capacity(s + 1);
-        let mut cum_first = Vec::with_capacity(s + 1);
-        let mut running_pred = 0i64;
-        let mut running_first = 0i64;
-        cum_pred_rank.push(running_pred);
-        cum_first.push(running_first);
-        for e in &merged {
-            values.push(e.value);
-            running_pred += e.pred_delta;
-            running_first += i64::from(e.first);
-            cum_pred_rank.push(running_pred);
-            cum_first.push(running_first);
-        }
-        let mut suf_succ_rank = vec![0i64; s + 1];
-        let mut suf_last = vec![0i64; s + 1];
-        let mut suf_pop = vec![0i64; s + 1];
-        for (j, e) in merged.iter().enumerate().rev() {
-            suf_succ_rank[j] = suf_succ_rank[j + 1] + e.succ_delta;
-            suf_last[j] = suf_last[j + 1] + i64::from(e.last);
-            suf_pop[j] = suf_pop[j + 1] + e.pop;
-        }
-
-        let searcher = EytzingerSearcher::from_sorted(&values);
-        MergedArrays {
-            values,
-            cum_pred_rank,
-            cum_first,
-            suf_succ_rank,
-            suf_last,
-            suf_pop,
-            total_population,
-            searcher,
-        }
+    /// Re-merges arrays into new ones in one linear merge: each of
+    /// `parts` with its dense node `d` renamed `remap[d]` (nodes remapped
+    /// to `None` dropped; the remap must preserve the order of the nodes
+    /// it keeps), plus the ascending `fresh` keys, over new dense nodes
+    /// with `populations`.
+    pub fn rewrite(
+        parts: &[(MergedArrays, Vec<Option<u32>>)],
+        fresh: &Sequence,
+        populations: &[i64],
+    ) -> MergedArrays {
+        let mut cursors: Vec<Cursor<'_>> = parts
+            .iter()
+            .map(|(arrays, remap)| Cursor::new(&arrays.sequence, Some(remap)))
+            .collect();
+        cursors.push(Cursor::new(fresh, None));
+        accumulate(merge_linear(cursors), populations)
     }
 
     /// The exact integer aggregates `(ΣA, ΣB)` over every source, for
@@ -269,7 +299,7 @@ impl MergedArrays {
     /// baseline ([`engine::boundary_ranks`]) the engine paths are
     /// proven against, kept for equivalence tests and benchmarks.
     pub fn rank_terms_baseline(&self, query: RangeQuery) -> (i64, i64) {
-        let (pos_l, pos_u) = engine::boundary_ranks(&self.values, query);
+        let (pos_l, pos_u) = engine::boundary_ranks(&self.sequence.values, query);
         self.rank_terms_at(pos_l, pos_u)
     }
 
@@ -289,7 +319,7 @@ impl MergedArrays {
         let mut lower = vec![(0i64, 0i64); queries.len()];
         let mut upper = vec![(0i64, 0i64, 0i64); queries.len()];
         let gallop_steps =
-            engine::resolve_batch_with(&self.values, queries, |slot, is_lower, pos| {
+            engine::resolve_batch_with(&self.sequence.values, queries, |slot, is_lower, pos| {
                 if is_lower {
                     lower[slot] = (self.cum_pred_rank[pos], self.cum_first[pos]);
                 } else {
@@ -332,8 +362,38 @@ impl MergedArrays {
 
     /// Number of merged sample entries (`S`).
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.sequence.values.len()
     }
+
+    /// Every stored array plus the population total, values as bit
+    /// patterns: what bit-for-bit equivalence tests compare.
+    #[cfg(test)]
+    pub fn bits(&self) -> MergedBits {
+        MergedBits {
+            values: self.sequence.values.iter().map(|v| v.to_bits()).collect(),
+            nodes: self.sequence.nodes.clone(),
+            ranks: self.sequence.ranks.clone(),
+            aggregates: [
+                self.cum_pred_rank.clone(),
+                self.cum_first.clone(),
+                self.suf_succ_rank.clone(),
+                self.suf_last.clone(),
+                self.suf_pop.clone(),
+            ],
+            total_population: self.total_population,
+        }
+    }
+}
+
+/// A bit-exact image of one [`MergedArrays`] (see [`MergedArrays::bits`]).
+#[cfg(test)]
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct MergedBits {
+    values: Vec<u64>,
+    nodes: Vec<u32>,
+    ranks: Vec<u32>,
+    aggregates: [Vec<i64>; 5],
+    total_population: i64,
 }
 
 /// The `(ΣA, ΣB)` combine over the five aggregate values at a query's
@@ -350,4 +410,67 @@ fn combine_terms(
     let sum_a = succ_rank - pred_rank + first + (total_population - pop);
     let sum_b = first + last;
     (sum_a, sum_b)
+}
+
+/// Derives the five prefix/suffix aggregates of a merged `sequence` —
+/// node `i` claiming population `populations[i]` — and wraps them with
+/// the sequence into [`MergedArrays`]. The one place the aggregates are
+/// computed, for from-scratch builds and rewrites alike.
+///
+/// Each node's entries keep their rank order in the merged sequence, so
+/// a node's predecessor under a cut is its last entry before the cut: a
+/// forward pass keeps each node's latest rank in a scratch array of
+/// length `k`, and a backward pass reuses it for each node's next rank.
+fn accumulate(sequence: Sequence, populations: &[i64]) -> MergedArrays {
+    let s = sequence.len();
+    let entries = || sequence.nodes.iter().zip(&sequence.ranks);
+    let mut seen = vec![UNSEEN; populations.len()];
+
+    let mut cum_pred_rank = Vec::with_capacity(s + 1);
+    let mut cum_first = Vec::with_capacity(s + 1);
+    let (mut pred_rank, mut first) = (0i64, 0i64);
+    cum_pred_rank.push(pred_rank);
+    cum_first.push(first);
+    for (&node, &rank) in entries() {
+        let rank = i64::from(rank);
+        let prev = std::mem::replace(&mut seen[node as usize], rank);
+        pred_rank += rank - prev.max(0);
+        first += i64::from(prev == UNSEEN);
+        cum_pred_rank.push(pred_rank);
+        cum_first.push(first);
+    }
+
+    seen.fill(UNSEEN);
+    let mut suf_succ_rank = vec![0i64; s + 1];
+    let mut suf_last = vec![0i64; s + 1];
+    let mut suf_pop = vec![0i64; s + 1];
+    let (mut succ_rank, mut last, mut pop) = (0i64, 0i64, 0i64);
+    let slots = suf_succ_rank
+        .iter_mut()
+        .zip(&mut suf_last)
+        .zip(&mut suf_pop);
+    for (((succ_slot, last_slot), pop_slot), (&node, &rank)) in slots.zip(entries()).rev() {
+        let rank = i64::from(rank);
+        let next = std::mem::replace(&mut seen[node as usize], rank);
+        succ_rank += rank - next.max(0);
+        if next == UNSEEN {
+            last += 1;
+            pop += populations[node as usize];
+        }
+        *succ_slot = succ_rank;
+        *last_slot = last;
+        *pop_slot = pop;
+    }
+
+    let searcher = EytzingerSearcher::from_sorted(&sequence.values);
+    MergedArrays {
+        sequence,
+        cum_pred_rank,
+        cum_first,
+        suf_succ_rank,
+        suf_last,
+        suf_pop,
+        total_population: populations.iter().sum(),
+        searcher,
+    }
 }

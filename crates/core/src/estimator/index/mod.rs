@@ -66,31 +66,40 @@
 //! nodes, a query fans the same pair of `partition_point`s across every
 //! segment and adds the per-segment aggregates — still bit-identical.
 //! A collection round's [`RoundDelta`](prc_net::network::RoundDelta)
-//! names exactly the changed nodes: the index *tombstones* them in older
-//! segments (their exact old contribution is subtracted per query from
-//! per-node snapshots) and builds one new segment over just their fresh
-//! samples — `O(Δ log Δ)` instead of `O(S log S)` per round. A
-//! deterministic size-tiered [`CompactionPolicy`] (a pure function of
-//! segment sizes; `compaction` module) bounds the segment count, and the
-//! [`cost`] module's ski-rental accrual decides when paying for a build
-//! beats continuing to scan. The sampling probability only enters at
-//! [`finish_rank_terms`], so segments built at different probabilities
-//! remain valid across top-ups.
+//! names exactly the changed nodes, and the index sorts them two ways.
+//! A node that only *topped up* — same population, every old entry
+//! still there — keeps its merged entries: the segments holding such
+//! nodes are rewritten into one in a single linear merge of their merged
+//! sequences with the sorted fresh entries, `O(S_touched + Δ log Δ)`.
+//! Any other changed node is *replaced*: tombstoned in its segment (its
+//! exact old contribution is subtracted per query from a per-node
+//! snapshot) and appended in one new segment over its current sample,
+//! `O(Δ log Δ)`. Either way no round pays the `O(S log k)` from-scratch
+//! merge. A deterministic size-tiered [`CompactionPolicy`] (a pure
+//! function of segment sizes; `compaction` module) bounds the segment
+//! count, and the [`cost`] module's ski-rental accrual decides when
+//! paying for a build beats continuing to scan. The sampling probability
+//! only enters at [`finish_rank_terms`], so entries merged at different
+//! probabilities remain valid across top-ups.
 //!
 //! ## Complexity
 //!
-//! | path                   | per query       | build / maintain          |
-//! |------------------------|-----------------|---------------------------|
-//! | per-node scan          | `O(k log s)`    | —                         |
-//! | [`RankIndex`]          | `O(log S)`      | `O(S log S)` per epoch    |
-//! | [`SegmentedRankIndex`] | `O(m log S)`    | `O(Δ log Δ)` per delta    |
+//! | path                   | per query    | build / maintain                           |
+//! |------------------------|--------------|--------------------------------------------|
+//! | per-node scan          | `O(k log s)` | —                                          |
+//! | [`RankIndex`]          | `O(log S)`   | `O(S log k)` per epoch                     |
+//! | [`SegmentedRankIndex`] | `O(m log S)` | top-up `O(S_touched + Δ log Δ)`, replaced node `O(Δ log Δ)` |
 //!
 //! (`m` = live segments, bounded logarithmically by compaction; `Δ` =
-//! entries of the round's changed nodes.)
+//! fresh entries of the round's changed nodes; `S_touched` = entries of
+//! the segments holding topped-up nodes — all of `S` after a global
+//! top-up.)
 //!
 //! Builds shard one run per node (entries are already value-sorted),
 //! k-way merge shards over the shared `prc-runtime` pool, and accumulate
-//! the prefix/suffix arrays in one sequential pass.
+//! the prefix/suffix arrays in one forward and one backward pass. The
+//! merged arrays keep each entry's node and rank, so a rewrite re-merges
+//! them linearly and runs the same accumulation.
 
 pub mod compaction;
 pub mod cost;

@@ -51,10 +51,11 @@ impl RankIndex {
     /// prefix-sum decomposition needs does not exist) — callers fall back
     /// to the per-node scan.
     ///
-    /// The build shards one sorted run per node, merges shards over the
-    /// shared `prc-runtime` pool (one contiguous node group per chunk),
-    /// k-way merges the per-worker runs, and accumulates the prefix and
-    /// suffix arrays in one sequential pass: `O(S log S)` total work.
+    /// The build shards one sorted run per node, heap-merges shards over
+    /// the shared `prc-runtime` pool (one contiguous node group per
+    /// chunk), merges the per-worker runs linearly, and accumulates the
+    /// prefix and suffix arrays in one forward and one backward pass:
+    /// `O(S log k)` total work.
     pub fn build(station: &BaseStation) -> Option<RankIndex> {
         let probability = station.uniform_probability()?;
         let sources: Vec<RunSource<'_>> = station

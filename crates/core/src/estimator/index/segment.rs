@@ -1,10 +1,13 @@
 //! One immutable sorted segment of the segmented index: merged arrays
 //! over a disjoint subset of nodes, plus per-node snapshots enabling
-//! exact tombstone subtraction and lossless compaction merges.
+//! exact tombstone subtraction, and the linear rewrite that merges
+//! segments and absorbs top-ups.
 
 use prc_net::message::{NodeId, SampleEntry};
 
-use super::merge::{MergedArrays, RunSource};
+#[cfg(test)]
+use super::merge::MergedBits;
+use super::merge::{MergeKey, MergedArrays, RunSource, Sequence};
 use super::node_rank_terms;
 use crate::query::RangeQuery;
 
@@ -15,8 +18,8 @@ use crate::query::RangeQuery;
 /// sample moved to a newer segment), its exact old contribution
 /// `(Aᵢ, Bᵢ)` is recomputed per query from the snapshot and subtracted
 /// from the segment's aggregate — integer arithmetic, so the subtraction
-/// is exact, not approximate. And when segments are compacted, live
-/// snapshots are re-merged without touching the station.
+/// is exact, not approximate. And when the node tops up, the snapshot
+/// tells which of its current entries are new.
 #[derive(Debug, Clone)]
 pub(crate) struct SegmentMember {
     pub node_id: NodeId,
@@ -28,6 +31,15 @@ pub(crate) struct SegmentMember {
     pub dead: bool,
 }
 
+/// A live member's top-up: the node's current entries, which keep every
+/// entry of its snapshot, and the fresh ones the snapshot lacks.
+#[derive(Debug)]
+pub(crate) struct TopUp<'a> {
+    pub node_id: NodeId,
+    pub entries: &'a [SampleEntry],
+    pub fresh: Vec<SampleEntry>,
+}
+
 /// An immutable sorted segment: the merged prefix-rank arrays over its
 /// member nodes, answering `(ΣA, ΣB)` restricted to *live* members.
 ///
@@ -37,9 +49,11 @@ pub(crate) struct SegmentMember {
 /// aggregates bit-for-bit.
 #[derive(Debug, Clone)]
 pub(crate) struct Segment {
-    /// Members in node-id order. The dense merge order within the
-    /// segment never affects the aggregates (integer sums are grouping-
-    /// independent), but a canonical order keeps rebuilds deterministic.
+    /// Members in node-id order, which is also their dense merge order.
+    /// That order never affects the aggregates (integer sums are
+    /// grouping-independent), but a canonical one keeps rebuilds
+    /// deterministic and lets a rewrite remap dense indices without
+    /// reordering any input.
     members: Vec<SegmentMember>,
     arrays: MergedArrays,
     /// Indices (into `members`) of tombstoned members, so the per-query
@@ -128,6 +142,95 @@ impl Segment {
         (terms, gallop_steps)
     }
 
+    /// Rewrites `segments` (disjoint member sets) into one segment in
+    /// one linear merge. Tombstoned members are dropped. Every other
+    /// member keeps its merged entries under its new dense index, and
+    /// each member named in `top_ups` takes its current entries there
+    /// (see [`Segment::top_up`]); only the fresh ones are sorted and
+    /// merged in. `top_ups` must be sorted by node id.
+    ///
+    /// Work is `O(S_in + Δ log Δ)` for `S_in` input entries and `Δ`
+    /// fresh ones. The result equals [`Segment::build`] over the same
+    /// members bit for bit: both hold the one ascending order of the
+    /// same `(value, node, rank)` keys, with dense indices in node-id
+    /// order.
+    pub fn rewrite(segments: Vec<Segment>, top_ups: &[TopUp<'_>]) -> Segment {
+        // Live members with where they came from: (segment, dense index).
+        let mut survivors = Vec::new();
+        let mut parts = Vec::with_capacity(segments.len());
+        for (s, segment) in segments.into_iter().enumerate() {
+            parts.push((segment.arrays, vec![None; segment.members.len()]));
+            survivors.extend(
+                (segment.members.into_iter().enumerate())
+                    .filter(|(_, m)| !m.dead)
+                    .map(|(d, m)| (m, s, d)),
+            );
+        }
+        survivors.sort_unstable_by_key(|(m, _, _)| m.node_id);
+
+        let mut fresh = Vec::with_capacity(top_ups.iter().map(|t| t.fresh.len()).sum());
+        let mut members = Vec::with_capacity(survivors.len());
+        for ((mut member, s, d), dense) in survivors.into_iter().zip(0u32..) {
+            parts[s].1[d] = Some(dense);
+            if let Ok(i) = top_ups.binary_search_by_key(&member.node_id, |t| t.node_id) {
+                let top_up = &top_ups[i];
+                fresh.extend(top_up.fresh.iter().map(|e| MergeKey {
+                    value: e.value,
+                    node: dense,
+                    rank: e.rank,
+                }));
+                member.entries.clear();
+                member.entries.extend_from_slice(top_up.entries);
+            }
+            members.push(member);
+        }
+        fresh.sort_unstable();
+        let fresh = Sequence::from_sorted(&fresh);
+
+        let populations: Vec<i64> = members.iter().map(|m| m.population).collect();
+        Segment {
+            arrays: MergedArrays::rewrite(&parts, &fresh, &populations),
+            members,
+            dead_members: Vec::new(),
+            dead_entries: 0,
+        }
+    }
+
+    /// The top-up of live member `node` to `entries` at `population`,
+    /// if that is all it is: the population is unchanged and every
+    /// snapshot entry is still there with the same rank and value bits.
+    /// Such a member's merged entries stay valid, so [`Segment::rewrite`]
+    /// can extend it instead of the index tombstoning it.
+    pub fn top_up<'a>(
+        &self,
+        node: NodeId,
+        population: i64,
+        entries: &'a [SampleEntry],
+    ) -> Option<TopUp<'a>> {
+        let member = self.live_member(node)?;
+        if member.population != population {
+            return None;
+        }
+        Some(TopUp {
+            node_id: node,
+            entries,
+            fresh: fresh_entries(&member.entries, entries)?,
+        })
+    }
+
+    /// Whether `node` is a live member of this segment.
+    pub fn holds(&self, node: NodeId) -> bool {
+        self.live_member(node).is_some()
+    }
+
+    fn live_member(&self, node: NodeId) -> Option<&SegmentMember> {
+        let pos = self
+            .members
+            .binary_search_by_key(&node, |m| m.node_id)
+            .ok()?;
+        self.members.get(pos).filter(|m| !m.dead)
+    }
+
     /// Tombstones `node` if it is a live member; returns the number of
     /// entries newly deadened (0 when the node is absent or already
     /// dead).
@@ -164,12 +267,55 @@ impl Segment {
     pub fn live_members(&self) -> usize {
         self.members.len() - self.dead_members.len()
     }
+}
 
-    /// Consumes the segment, yielding its live members (compaction
-    /// input).
-    pub fn into_live_members(self) -> Vec<SegmentMember> {
-        self.members.into_iter().filter(|m| !m.dead).collect()
+/// One live member as `(node, population, [(value bits, rank)])`.
+#[cfg(test)]
+pub(crate) type MemberImage = (NodeId, i64, Vec<(u64, u32)>);
+
+#[cfg(test)]
+impl Segment {
+    /// A bit image of this segment's arrays, and of the arrays
+    /// [`Segment::build`] produces over the same members (tombstoned
+    /// ones included: their entries are still in the arrays).
+    pub fn bits_and_fresh_build_bits(&self) -> (MergedBits, MergedBits) {
+        let fresh = Segment::build(self.members.clone());
+        (self.arrays.bits(), fresh.arrays.bits())
     }
+
+    /// The live members' images.
+    pub fn live_member_images(&self) -> Vec<MemberImage> {
+        self.members
+            .iter()
+            .filter(|m| !m.dead)
+            .map(|m| {
+                let entries = m.entries.iter().map(|e| (e.value.to_bits(), e.rank));
+                (m.node_id, m.population, entries.collect())
+            })
+            .collect()
+    }
+}
+
+/// The entries of rank-sorted `current` missing from rank-sorted
+/// `snapshot`, or `None` unless `current` holds every snapshot entry
+/// with the same rank and value bits.
+fn fresh_entries(snapshot: &[SampleEntry], current: &[SampleEntry]) -> Option<Vec<SampleEntry>> {
+    let mut fresh = Vec::with_capacity(current.len().saturating_sub(snapshot.len()));
+    let mut old = snapshot.iter().peekable();
+    for entry in current {
+        match old.peek() {
+            Some(o) if o.rank == entry.rank => {
+                if o.value.to_bits() != entry.value.to_bits() {
+                    return None;
+                }
+                old.next();
+            }
+            // A snapshot entry `current` skipped: it is gone.
+            Some(o) if o.rank < entry.rank => return None,
+            _ => fresh.push(*entry),
+        }
+    }
+    old.peek().is_none().then_some(fresh)
 }
 
 #[cfg(test)]
@@ -252,12 +398,13 @@ mod tests {
     }
 
     #[test]
-    fn into_live_members_drops_tombstones() {
+    fn rewrite_drops_tombstones() {
         let members = vec![member(0, 4, &[(1.0, 1)]), member(1, 4, &[(2.0, 2)])];
         let mut segment = Segment::build(members);
         segment.tombstone(NodeId(0));
-        let live = segment.into_live_members();
-        assert_eq!(live.len(), 1);
-        assert_eq!(live[0].node_id, NodeId(1));
+        let rewritten = Segment::rewrite(vec![segment], &[]);
+        assert_eq!(rewritten.live_members(), 1);
+        assert_eq!(rewritten.dead_entries(), 0);
+        assert_eq!(rewritten.members[0].node_id, NodeId(1));
     }
 }

@@ -22,15 +22,17 @@ use crate::query::RangeQuery;
 /// segments.
 ///
 /// On a collection round, [`SegmentedRankIndex::absorb_delta`] takes the
-/// round's changed-node set, tombstones those nodes in older segments,
-/// and builds one new segment over just their fresh samples —
-/// `O(Δ log Δ)` maintenance instead of an `O(S log S)` rebuild. The
-/// deterministic size-tiered [`CompactionPolicy`] then bounds the live
-/// segment count to `O(log S)`.
+/// round's changed-node set. Nodes that only topped up are absorbed by
+/// rewriting the segments that hold them into one, in a single linear
+/// merge — `O(S_touched + Δ log Δ)`; other changed nodes are tombstoned
+/// and appended as one new segment — `O(Δ log Δ)`. Neither pays an
+/// `O(S log k)` rebuild. The deterministic size-tiered
+/// [`CompactionPolicy`] then bounds the live segment count to
+/// `O(log S)`.
 ///
 /// The sampling probability enters only at the final
-/// [`finish_rank_terms`] combine, never inside a segment, so segments
-/// built before a top-up remain valid after it; `absorb_delta` simply
+/// [`finish_rank_terms`] combine, never inside a segment, so entries
+/// merged before a top-up remain valid after it; `absorb_delta` simply
 /// refreshes the stored probability.
 #[derive(Debug, Clone)]
 pub struct SegmentedRankIndex {
@@ -62,14 +64,21 @@ impl SegmentedRankIndex {
         })
     }
 
-    /// Absorbs one collection round's delta: tombstones `changed` nodes
-    /// in existing segments, appends one fresh segment over their
-    /// current samples, and compacts to the policy's fixpoint.
+    /// Absorbs one collection round's delta, then compacts to the
+    /// policy's fixpoint.
+    ///
+    /// A changed node that is a live member with an unchanged population
+    /// whose current entries extend its snapshot has only *topped up*.
+    /// The segments holding such nodes are rewritten into one segment in
+    /// one linear merge that keeps their entries and merges in the
+    /// sorted fresh ones — `O(S_touched + Δ log Δ)` for the `S_touched`
+    /// entries of those segments. Every other changed node is
+    /// *replaced*: tombstoned where it lives, its current sample appended
+    /// as one fresh segment — `O(Δ log Δ)` in its entries.
     ///
     /// Returns `None` when the station no longer has a uniform positive
     /// sampling probability — the index is invalid and the caller must
-    /// discard it. Work is `O(Δ log Δ)` plus amortized compaction, where
-    /// `Δ` is the changed nodes' entry count.
+    /// discard it.
     pub fn absorb_delta(
         &mut self,
         station: &BaseStation,
@@ -81,16 +90,51 @@ impl SegmentedRankIndex {
             return Some(DeltaOutcome::default());
         }
 
+        let mut touched = vec![false; self.segments.len()];
+        let mut top_ups = Vec::new();
+        let mut replaced = Vec::new();
+        for &node in changed {
+            let top_up = station.node_sample(node).and_then(|sample| {
+                let (i, holder) =
+                    (self.segments.iter().enumerate()).find(|(_, s)| s.holds(node))?;
+                let population = sample.population_size as i64;
+                Some((i, holder.top_up(node, population, sample.entries())?))
+            });
+            match top_up {
+                Some((segment, top_up)) => {
+                    touched[segment] = true;
+                    top_ups.push(top_up);
+                }
+                None => replaced.push(node),
+            }
+        }
+
         let mut tombstoned_entries = 0usize;
         for segment in &mut self.segments {
-            for &node in changed {
+            for &node in &replaced {
                 tombstoned_entries += segment.tombstone(node);
             }
         }
 
+        let mut rewritten_entries = 0usize;
+        if let Some(first) = touched.iter().position(|&t| t) {
+            top_ups.sort_unstable_by_key(|t| t.node_id);
+            let mut rewrite = Vec::new();
+            for (segment, touched) in std::mem::take(&mut self.segments).into_iter().zip(touched) {
+                if touched {
+                    rewrite.push(segment);
+                } else {
+                    self.segments.push(segment);
+                }
+            }
+            let merged = Segment::rewrite(rewrite, &top_ups);
+            rewritten_entries = merged.live_entries();
+            self.segments.insert(first, merged);
+        }
+
         let members = members_of(
             station,
-            changed.iter().copied().filter(|&n| {
+            replaced.into_iter().filter(|&n| {
                 station
                     .node_sample(n)
                     .is_some_and(|s| s.population_size > 0)
@@ -106,12 +150,14 @@ impl SegmentedRankIndex {
         Some(DeltaOutcome {
             appended_entries,
             tombstoned_entries,
+            rewritten_entries,
             compactions,
         })
     }
 
     /// Applies compaction steps until the policy reaches its fixpoint;
-    /// returns the number of steps applied.
+    /// returns the number of steps applied. Rewrites and merges go
+    /// through the same linear [`Segment::rewrite`] as top-ups.
     fn compact(&mut self) -> u64 {
         let mut applied = 0u64;
         loop {
@@ -133,17 +179,14 @@ impl SegmentedRankIndex {
                 }
                 CompactionStep::Rewrite(i) => {
                     let old = self.segments.remove(i);
-                    self.segments
-                        .insert(i, Segment::build(old.into_live_members()));
+                    let rewritten = Segment::rewrite(vec![old], &[]);
+                    self.segments.insert(i, rewritten);
                 }
                 CompactionStep::MergeTail(count) => {
                     let tail_start = self.segments.len() - count;
-                    let members: Vec<SegmentMember> = self
-                        .segments
-                        .drain(tail_start..)
-                        .flat_map(Segment::into_live_members)
-                        .collect();
-                    self.segments.push(Segment::build(members));
+                    let tail: Vec<Segment> = self.segments.drain(tail_start..).collect();
+                    let merged = Segment::rewrite(tail, &[]);
+                    self.segments.push(merged);
                 }
             }
             applied += 1;
@@ -459,16 +502,219 @@ mod tests {
             index.segments()
         );
 
-        // A global top-up changes every node: a full delta mass-tombstones
-        // the old segments, which compaction then reclaims entirely.
+        // A global top-up changes every node, and every node only tops
+        // up: the old segments are rewritten in place, nothing tombstoned.
         net.collect_samples(0.5);
         let delta = net.station().changed_since(rev);
         assert_eq!(delta.len(), net.station().node_count());
         let outcome = index.absorb_delta(net.station(), &delta).unwrap();
-        assert!(outcome.tombstoned_entries > 0);
+        assert_eq!(outcome.tombstoned_entries, 0);
+        assert!(outcome.rewritten_entries > 0);
         assert_eq!(index.probability(), 0.5);
         assert_eq!(index.dead_entries(), 0, "fully-dead segments are dropped");
         assert_synchronized(&index, net.station());
+    }
+
+    /// Asserts every segment's arrays equal a fresh [`Segment::build`]
+    /// over the same members bit for bit, and that the live members are
+    /// exactly the station's data-bearing nodes, each once, holding the
+    /// station's current sample.
+    fn assert_segments_match_fresh_builds(index: &SegmentedRankIndex, station: &BaseStation) {
+        let mut live = Vec::new();
+        for (i, segment) in index.segments.iter().enumerate() {
+            let (bits, fresh) = segment.bits_and_fresh_build_bits();
+            assert_eq!(bits, fresh, "segment {i} differs from a fresh build");
+            live.extend(segment.live_member_images());
+        }
+        live.sort_by_key(|(node, _, _)| *node);
+        let expected: Vec<_> = station
+            .data_bearing_samples()
+            .map(|s| {
+                let entries = s.entries().iter().map(|e| (e.value.to_bits(), e.rank));
+                (s.node_id, s.population_size as i64, entries.collect())
+            })
+            .collect();
+        assert_eq!(live, expected);
+    }
+
+    #[test]
+    fn top_up_across_segments_with_a_replaced_node_leaves_one_segment() {
+        let mut station = BaseStation::new();
+        for node in 0..4 {
+            let base = f64::from(node) * 10.0;
+            let pairs: Vec<(f64, u32)> = (1..=8).map(|r| (base + f64::from(r), r)).collect();
+            ingest(&mut station, node, 20, 0.5, &pairs);
+        }
+        let mut index = SegmentedRankIndex::build(&station).unwrap();
+        let rev = station.revision();
+        // Two small joiners land in a second segment the 32-entry first
+        // one is too large to absorb.
+        ingest(&mut station, 4, 6, 0.5, &[(4.5, 2)]);
+        ingest(&mut station, 5, 6, 0.5, &[]);
+        index
+            .absorb_delta(&station, &station.changed_since(rev))
+            .unwrap();
+        assert_eq!(index.segments(), 2);
+        let rev = station.revision();
+
+        // Nodes 0 and 4 top up (one per segment); node 1 claims a new
+        // population, so it is replaced.
+        ingest(&mut station, 0, 20, 0.5, &[(9.5, 10), (12.0, 14)]);
+        ingest(&mut station, 4, 6, 0.5, &[(-0.0, 1), (7.0, 5)]);
+        ingest(&mut station, 1, 21, 0.5, &[(19.0, 9)]);
+        let changed = station.changed_since(rev);
+        assert_eq!(changed, vec![NodeId(0), NodeId(1), NodeId(4)]);
+        let outcome = index.absorb_delta(&station, &changed).unwrap();
+
+        let holders: Vec<&Segment> = (index.segments.iter())
+            .filter(|s| s.holds(NodeId(0)) || s.holds(NodeId(4)))
+            .collect();
+        assert_eq!(holders.len(), 1, "the top-up is one segment");
+        assert!(holders[0].holds(NodeId(0)) && holders[0].holds(NodeId(4)));
+        assert!(!holders[0].holds(NodeId(1)));
+        assert_eq!(outcome.tombstoned_entries, 8, "node 1's old snapshot");
+        assert_eq!(outcome.appended_entries, 9, "node 1's current sample");
+        assert_eq!(outcome.rewritten_entries, 24 + 2 + 3, "survivors + fresh");
+        assert_eq!(index.segments(), 2);
+        assert_eq!(index.dead_entries(), 0);
+        assert_synchronized(&index, &station);
+        assert_segments_match_fresh_builds(&index, &station);
+    }
+
+    /// splitmix64: the property test's deterministic input expander.
+    struct Words(u64);
+
+    impl Words {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Signed zeros, a subnormal, and heavy duplicates.
+    const POOL: [f64; 8] = [-0.0, 0.0, 1.0, 1.0, 1.0, -3.5, 5e-324, 7.0];
+    const PROBABILITIES: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
+
+    /// One generated node: fixed sorted data, the population it claims,
+    /// and whether it has reported yet.
+    struct GenNode {
+        data: Vec<f64>,
+        population: usize,
+        joined: bool,
+    }
+
+    /// Ingests a sample of `node`'s data at `p`: each rank is drawn with
+    /// probability one half, so some reports carry no entries.
+    fn report(station: &mut BaseStation, words: &mut Words, id: u32, node: &GenNode, p: f64) {
+        let entries = (1..=node.data.len() as u32)
+            .filter(|_| words.below(2) == 0)
+            .map(|rank| SampleEntry {
+                value: node.data[rank as usize - 1],
+                rank,
+            })
+            .collect();
+        station.ingest(SampleMessage {
+            node_id: NodeId(id),
+            population_size: node.population,
+            probability: p,
+            entries,
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Random rounds of top-ups, population changes (replacements,
+        /// including drops to and returns from `n = 0`), joins, and
+        /// probability raises: after every absorb, each segment equals a
+        /// fresh build over its members bit for bit and the index agrees
+        /// with the scan.
+        #[test]
+        fn absorbed_segments_equal_fresh_builds(
+            seed in 0u64..u64::MAX,
+            rounds in 1usize..10,
+        ) {
+            let mut words = Words(seed);
+            let mut nodes: Vec<GenNode> = (0..8)
+                .map(|_| {
+                    let len = words.below(7) as usize;
+                    let mut data: Vec<f64> =
+                        (0..len).map(|_| POOL[words.below(8) as usize]).collect();
+                    data.sort_by(f64::total_cmp);
+                    GenNode { population: data.len(), data, joined: false }
+                })
+                .collect();
+            // Node 0 always joins with a positive population, so the
+            // initial station has a uniform probability to build at.
+            nodes[0].population = nodes[0].data.len() + 1;
+            let mut station = BaseStation::new();
+            let mut level = 0usize;
+            for (id, node) in nodes.iter_mut().enumerate() {
+                if id == 0 || words.below(2) == 0 {
+                    node.joined = true;
+                    report(&mut station, &mut words, id as u32, node, PROBABILITIES[level]);
+                }
+            }
+            let mut index = SegmentedRankIndex::build(&station).unwrap();
+            assert_segments_match_fresh_builds(&index, &station);
+
+            for _ in 0..rounds {
+                let rev = station.revision();
+                let raise = level + 1 < PROBABILITIES.len() && words.below(4) == 0;
+                if raise {
+                    level += 1;
+                }
+                let p = PROBABILITIES[level];
+                for (id, node) in nodes.iter_mut().enumerate() {
+                    let action = words.below(6);
+                    if !node.joined {
+                        if action < 2 {
+                            node.joined = true;
+                            report(&mut station, &mut words, id as u32, node, p);
+                        }
+                        continue;
+                    }
+                    match action {
+                        // Replace: a new population claim, sometimes 0.
+                        0 => {
+                            node.population = match words.below(3) {
+                                0 => 0,
+                                1 => node.data.len() + 2,
+                                _ => node.data.len(),
+                            };
+                            report(&mut station, &mut words, id as u32, node, p);
+                        }
+                        // Top up (possibly with nothing new).
+                        1..=3 => report(&mut station, &mut words, id as u32, node, p),
+                        // Sit the round out, unless a raise needs every
+                        // data-bearing node at the new probability.
+                        _ if raise && node.population > 0 => {
+                            report(&mut station, &mut words, id as u32, node, p);
+                        }
+                        _ => {}
+                    }
+                }
+                let changed = station.changed_since(rev);
+                match index.absorb_delta(&station, &changed) {
+                    Some(_) => {
+                        assert_segments_match_fresh_builds(&index, &station);
+                        assert_synchronized(&index, &station);
+                    }
+                    // Every data-bearing node left: no probability exists.
+                    None => proptest::prop_assert!(station.uniform_probability().is_none()),
+                }
+                if station.uniform_probability().is_none() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,9 @@ pub struct DeltaOutcome {
     pub appended_entries: usize,
     /// Entries newly tombstoned in older segments.
     pub tombstoned_entries: usize,
+    /// Entries passed through the linear rewrite that absorbs top-ups:
+    /// the topped-up segments' surviving entries plus the fresh ones.
+    pub rewritten_entries: usize,
     /// Compaction steps applied after the append.
     pub compactions: u64,
 }

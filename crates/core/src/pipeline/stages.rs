@@ -543,8 +543,10 @@ fn plan<E: RangeCountEstimator, N: Network>(
 /// 1. a live generation whose revision matches the station is kept
 ///    as-is;
 /// 2. a drifted generation absorbs the exact changed-node delta from
-///    the revision journal (`O(Δ log Δ)`), falling back to 4 only when
-///    the index declines (e.g. the station lost its uniform rate);
+///    the revision journal — a linear `O(S_touched + Δ log Δ)` rewrite
+///    for nodes that topped up, `O(Δ log Δ)` for replaced ones — falling
+///    back to 4 only when the index declines (e.g. the station lost its
+///    uniform rate);
 /// 3. a pending cross-broker [`crate::broker::IndexCacheHandle`] whose
 ///    station matches structurally is adopted instead of building;
 /// 4. otherwise the [`IndexPolicy`] decides whether to build from

@@ -2,8 +2,9 @@
 //!
 //! The [`SegmentedRankIndex`] contract extends the monolithic one: after
 //! *any* interleaving of collection rounds — partial revivals at a
-//! constant target, global top-ups to a higher target, and the
-//! compactions they trigger — the index fed only the per-round deltas
+//! constant target, global top-ups to a higher target, partial top-ups
+//! that raise the target while some leaves stay dead and others revive,
+//! and the compactions they trigger — the index fed only the per-round deltas
 //! must release exactly the bits of a monolithic [`RankIndex`] rebuilt
 //! from scratch on the current station, and of the raw per-node scan.
 //! The sweep drives random schedules over all three network drivers and
@@ -16,6 +17,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
+use prc::core::estimator::DeltaOutcome;
 use prc::net::base_station::BaseStation;
 use prc::net::message::NodeId;
 use prc::prelude::*;
@@ -35,8 +37,12 @@ enum Op {
     /// target (revival catch-up: only the revived leaves change).
     Revive(usize),
     /// Raise the global target and collect (a full delta over every
-    /// alive node — the mass-tombstone path compaction reclaims).
+    /// alive node, absorbed by the linear top-up rewrite).
     TopUp,
+    /// Raise the global target while reviving up to `k` still-dead
+    /// leaves and keeping the rest dead: one delta mixes nodes that top
+    /// up with revived nodes the index has never held (replaced).
+    PartialTopUp(usize),
 }
 
 fn partitions() -> Vec<Vec<f64>> {
@@ -94,6 +100,8 @@ fn run_driver<N: Network>(mut net: N, ops: &[Op], p0: f64) -> Result<Vec<u64>, T
     )?;
 
     for (step, &op) in ops.iter().enumerate() {
+        let reporting = net.station().node_count();
+        let before = target;
         match op {
             Op::Revive(k) => {
                 revived = (revived + k.max(1)).min(LEAF_COUNT);
@@ -102,10 +110,28 @@ fn run_driver<N: Network>(mut net: N, ops: &[Op], p0: f64) -> Result<Vec<u64>, T
                 // Bounded so the target stays a valid probability.
                 target = (target + 0.17).min(0.95);
             }
+            Op::PartialTopUp(k) => {
+                revived = (revived + k.max(1)).min(LEAF_COUNT);
+                target = (target + 0.17).min(0.95);
+            }
         }
         net.set_failure_plan(plan_for(revived));
         let delta = net.collect_delta(target);
-        absorb_or_build(&mut index, net.station(), &delta.changed)?;
+        let outcome = absorb_or_build(&mut index, net.station(), &delta.changed)?;
+        let revived_now = net.station().node_count() - reporting;
+        if matches!(op, Op::PartialTopUp(_)) && revived_now > 0 && target > before {
+            // Every reporting node topped up and every revived one is new:
+            // the old nodes are rewritten in place, the revived appended.
+            prop_assert_eq!(delta.changed.len(), reporting + revived_now);
+            let outcome = outcome.expect("built at epoch 0");
+            prop_assert_eq!(outcome.tombstoned_entries, 0);
+            prop_assert_eq!(
+                outcome.rewritten_entries + outcome.appended_entries,
+                net.station().total_samples(),
+                "{:?}",
+                outcome
+            );
+        }
         check_step(
             index.as_ref().expect("built at epoch 0"),
             net.station(),
@@ -124,23 +150,27 @@ fn run_driver<N: Network>(mut net: N, ops: &[Op], p0: f64) -> Result<Vec<u64>, T
     Ok(bits)
 }
 
+/// Builds the index on the first call and absorbs `changed` after;
+/// returns the absorb's outcome.
 fn absorb_or_build(
     index: &mut Option<SegmentedRankIndex>,
     station: &BaseStation,
     changed: &[NodeId],
-) -> Result<(), TestCaseError> {
+) -> Result<Option<DeltaOutcome>, TestCaseError> {
     match index {
         None => {
             *index = Some(SegmentedRankIndex::build(station).expect("uniform station"));
+            Ok(None)
         }
         Some(idx) => {
+            let outcome = idx.absorb_delta(station, changed);
             prop_assert!(
-                idx.absorb_delta(station, changed).is_some(),
+                outcome.is_some(),
                 "revivals and top-ups keep the station uniform"
             );
+            Ok(outcome)
         }
     }
-    Ok(())
 }
 
 /// Bit-identity after one step: segmented vs fresh monolithic rebuild vs
@@ -184,11 +214,15 @@ proptest! {
     fn delta_fed_index_matches_fresh_rebuild_under_any_schedule(
         seed in 0u64..1_000,
         p0 in 0.15f64..0.4,
-        raw_ops in proptest::collection::vec(0usize..4, 1..8),
+        raw_ops in proptest::collection::vec(0usize..6, 1..8),
     ) {
         let ops: Vec<Op> = raw_ops
             .iter()
-            .map(|&r| if r == 0 { Op::TopUp } else { Op::Revive(r) })
+            .map(|&r| match r {
+                0 => Op::TopUp,
+                1..=3 => Op::Revive(r),
+                _ => Op::PartialTopUp(r - 3),
+            })
             .collect();
         let flat = run_driver(
             FlatNetwork::from_partitions(partitions(), seed), &ops, p0,
