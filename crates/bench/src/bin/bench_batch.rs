@@ -2,11 +2,14 @@
 //!
 //! Answers the same 64-query mixed-accuracy workload three ways —
 //! sequential `answer()` calls over a `FlatNetwork`, `answer_batch` over
-//! a `FlatNetwork`, and `answer_batch` over a `ThreadedNetwork` — and
-//! emits a JSON report with queries/sec for each mode, the speedups over
-//! the sequential baseline, the batch's per-stage counters, and a
-//! determinism check (two batched flat runs with the same seed must
-//! release bit-identical answers).
+//! a `FlatNetwork`, and `answer_batch` over a `ThreadedNetwork` — each
+//! on a fresh broker, `REPS` times with the modes interleaved. It emits
+//! a JSON report with each mode's minimum, median and maximum seconds,
+//! queries/sec at the minimum, the speedups over the sequential
+//! baseline, the batch's per-stage counters, and a determinism check
+//! (every batched flat run with the same seed must release bit-identical
+//! answers). The report is written to `BENCH_batch.json` at the
+//! repository root and to `target/bench/bench_batch.json`.
 //!
 //! The workload repeats each of 16 distinct `(range, α, δ)` requests four
 //! times: repeats are what the batched engine's arbitrage-consistent
@@ -21,9 +24,10 @@
 //!
 //! A third section times the shared `prc-runtime` pool against the
 //! spawn-per-call pattern it replaced (fresh scoped threads on every
-//! fan-out), asserts both strategies compute identical results, and
-//! writes the comparison to `BENCH_runtime_pool.json` at the repository
-//! root.
+//! fan-out) and against the same work run inline on the calling thread,
+//! asserts all three compute identical results, and writes the
+//! comparison, including the per-call dispatch cost the pool adds, to
+//! `BENCH_runtime_pool.json` at the repository root.
 //!
 //! Run with `cargo run -p prc-bench --release --bin bench_batch`. Set
 //! `PRC_BENCH_SMOKE=1` to shrink every dimension to CI-smoke sizes
@@ -47,6 +51,8 @@ const SEED: u64 = 2014;
 const NODES: usize = 16;
 const DISTINCT_QUERIES: usize = 16;
 const REPEATS: usize = 4;
+/// Timed runs per end-to-end mode; each mode reports the minimum.
+const REPS: usize = 5;
 
 /// True when `PRC_BENCH_SMOKE` asks for CI-smoke sizes.
 fn smoke() -> bool {
@@ -124,6 +130,41 @@ struct ModeResult {
     stats: Option<BatchStats>,
 }
 
+/// One mode's `REPS` runs: the first run's answers and stats, every
+/// run's seconds.
+struct ModeRuns {
+    first: ModeResult,
+    seconds: Vec<f64>,
+    /// Every run released the first run's bits.
+    deterministic: bool,
+}
+
+impl ModeRuns {
+    fn new(first: ModeResult) -> ModeRuns {
+        ModeRuns {
+            seconds: vec![first.seconds],
+            first,
+            deterministic: true,
+        }
+    }
+
+    fn push(&mut self, run: ModeResult) {
+        self.seconds.push(run.seconds);
+        self.deterministic &= run.values == self.first.values;
+    }
+
+    /// `(min, median, max)` seconds over the runs.
+    fn spread(&self) -> (f64, f64, f64) {
+        let mut sorted = self.seconds.clone();
+        sorted.sort_by(f64::total_cmp);
+        (
+            sorted[0],
+            sorted[sorted.len() / 2],
+            sorted[sorted.len() - 1],
+        )
+    }
+}
+
 fn queries_per_sec(requests: usize, seconds: f64) -> f64 {
     requests as f64 / seconds.max(1e-12)
 }
@@ -171,13 +212,18 @@ fn run_batched<N: Network>(
     }
 }
 
-fn mode_json(mode: &ModeResult, total_requests: usize) -> String {
+fn mode_json(runs: &ModeRuns, total_requests: usize) -> String {
+    let mode = &runs.first;
+    let (min, median, max) = runs.spread();
     let mut fields = vec![
         format!("\"mode\": \"{}\"", mode.label),
-        format!("\"seconds\": {:.6}", mode.seconds),
+        format!("\"seconds\": {min:.6}"),
+        format!("\"seconds_median\": {median:.6}"),
+        format!("\"seconds_max\": {max:.6}"),
+        format!("\"spread\": {:.3}", (max - min) / min.max(1e-12)),
         format!(
             "\"queries_per_sec\": {:.2}",
-            queries_per_sec(total_requests, mode.seconds)
+            queries_per_sec(total_requests, min)
         ),
         format!("\"answered\": {}", mode.answered),
     ];
@@ -331,6 +377,8 @@ struct PoolComparison {
     lanes: usize,
     pool_seconds: f64,
     spawn_seconds: f64,
+    /// The same sums on the calling thread, no fan-out.
+    inline_seconds: f64,
     identical: bool,
 }
 
@@ -341,26 +389,37 @@ impl PoolComparison {
         self.spawn_seconds / self.pool_seconds.max(1e-12)
     }
 
+    /// What one pool call costs beyond its share of the work, in µs:
+    /// the pool's per-call time minus the inline per-call time split
+    /// over the lanes. This is the overhead a fan-out cutoff weighs.
+    fn dispatch_us(&self) -> f64 {
+        let per_call = |seconds: f64| seconds / self.rounds as f64 * 1e6;
+        per_call(self.pool_seconds) - per_call(self.inline_seconds) / self.lanes as f64
+    }
+
     fn json(&self) -> String {
         format!(
-            "{{\n  \"bench\": \"runtime_pool\",\n  \"smoke\": {},\n  \"rounds\": {},\n  \"items_per_round\": {},\n  \"lanes\": {},\n  \"pool_seconds\": {:.6},\n  \"spawn_seconds\": {:.6},\n  \"pool_calls_per_sec\": {:.2},\n  \"spawn_calls_per_sec\": {:.2},\n  \"pool_reuse_speedup\": {:.2},\n  \"identical\": {}\n}}",
+            "{{\n  \"bench\": \"runtime_pool\",\n  \"smoke\": {},\n  \"rounds\": {},\n  \"items_per_round\": {},\n  \"lanes\": {},\n  \"pool_seconds\": {:.6},\n  \"spawn_seconds\": {:.6},\n  \"inline_seconds\": {:.6},\n  \"pool_calls_per_sec\": {:.2},\n  \"spawn_calls_per_sec\": {:.2},\n  \"pool_reuse_speedup\": {:.2},\n  \"dispatch_us\": {:.2},\n  \"identical\": {}\n}}",
             smoke(),
             self.rounds,
             self.len,
             self.lanes,
             self.pool_seconds,
             self.spawn_seconds,
+            self.inline_seconds,
             queries_per_sec(self.rounds, self.pool_seconds),
             queries_per_sec(self.rounds, self.spawn_seconds),
             self.speedup(),
+            self.dispatch_us(),
             self.identical,
         )
     }
 }
 
-/// Times `rounds` chunked sum fan-outs through the persistent pool and
+/// Times `rounds` chunked sum fan-outs through the persistent pool,
 /// through freshly spawned scoped threads (the pre-runtime pattern that
-/// paid thread creation on every call).
+/// paid thread creation on every call), and inline on the calling
+/// thread.
 fn pool_vs_spawn() -> PoolComparison {
     let (rounds, len) = if smoke() { (64, 4_096) } else { (512, 16_384) };
     let runtime = Runtime::global();
@@ -404,13 +463,38 @@ fn pool_vs_spawn() -> PoolComparison {
     }
     let spawn_seconds = spawn_start.elapsed().as_secs_f64();
 
+    let inline_start = Instant::now();
+    let mut inline_total = 0u64;
+    for _ in 0..rounds {
+        let sum = data.iter().fold(0u64, |a, &v| a.wrapping_add(v));
+        inline_total = inline_total.wrapping_add(std::hint::black_box(sum));
+    }
+    let inline_seconds = inline_start.elapsed().as_secs_f64();
+
     PoolComparison {
         rounds,
         len,
         lanes,
         pool_seconds,
         spawn_seconds,
-        identical: pool_total == spawn_total,
+        inline_seconds,
+        identical: pool_total == spawn_total && pool_total == inline_total,
+    }
+}
+
+/// Writes `json` as `name` at the repository root, so successive
+/// changes can diff it; falls back to the CWD when the
+/// manifest-relative path is absent.
+fn write_root_json(name: &str, json: &str) {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let target = if root.is_dir() {
+        root.join(name)
+    } else {
+        std::path::PathBuf::from(name)
+    };
+    match std::fs::write(&target, json) {
+        Ok(()) => eprintln!("json: {}", target.display()),
+        Err(e) => eprintln!("could not write {}: {e}", target.display()),
     }
 }
 
@@ -418,30 +502,26 @@ fn main() {
     let requests = workload();
     let total = requests.len();
 
-    let sequential = run_sequential(&requests);
-    let batched_flat = run_batched(
-        "batched_flat",
-        FlatNetwork::from_partitions(partitions(), SEED),
-        &requests,
-    );
-    // Determinism: a second batched flat run with the same seed must
-    // release bit-identical answers.
-    let batched_flat_again = run_batched(
-        "batched_flat_rerun",
-        FlatNetwork::from_partitions(partitions(), SEED),
-        &requests,
-    );
-    let batched_threaded = run_batched(
-        "batched_threaded",
-        ThreadedNetwork::from_partitions(partitions(), SEED),
-        &requests,
-    );
+    let flat = || FlatNetwork::from_partitions(partitions(), SEED);
+    let threaded = || ThreadedNetwork::from_partitions(partitions(), SEED);
+    let mut sequential = ModeRuns::new(run_sequential(&requests));
+    let mut batched_flat = ModeRuns::new(run_batched("batched_flat", flat(), &requests));
+    let mut batched_threaded =
+        ModeRuns::new(run_batched("batched_threaded", threaded(), &requests));
+    // Interleave the modes so host drift hits all three alike.
+    // Determinism: every run of a mode with the same seed must release
+    // bit-identical answers.
+    for _ in 1..REPS {
+        sequential.push(run_sequential(&requests));
+        batched_flat.push(run_batched("batched_flat", flat(), &requests));
+        batched_threaded.push(run_batched("batched_threaded", threaded(), &requests));
+    }
 
-    let deterministic = batched_flat.values == batched_flat_again.values;
-    let drivers_agree = batched_flat.values == batched_threaded.values;
-    let seq_qps = queries_per_sec(total, sequential.seconds);
-    let speedup_flat = queries_per_sec(total, batched_flat.seconds) / seq_qps;
-    let speedup_threaded = queries_per_sec(total, batched_threaded.seconds) / seq_qps;
+    let deterministic = batched_flat.deterministic;
+    let drivers_agree = batched_flat.first.values == batched_threaded.first.values;
+    let seq_qps = queries_per_sec(total, sequential.spread().0);
+    let speedup_flat = queries_per_sec(total, batched_flat.spread().0) / seq_qps;
+    let speedup_threaded = queries_per_sec(total, batched_threaded.spread().0) / seq_qps;
 
     let modes = [&sequential, &batched_flat, &batched_threaded]
         .iter()
@@ -449,7 +529,8 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"workload\": {{\"requests\": {total}, \"distinct\": {DISTINCT_QUERIES}, \"nodes\": {NODES}, \"population\": {}, \"seed\": {SEED}}},\n  \"modes\": [\n{modes}\n  ],\n  \"speedup_vs_sequential\": {{\"batched_flat\": {speedup_flat:.2}, \"batched_threaded\": {speedup_threaded:.2}}},\n  \"deterministic_flat\": {deterministic},\n  \"flat_threaded_identical\": {drivers_agree}\n}}",
+        "{{\n  \"bench\": \"batch\",\n  \"smoke\": {},\n  \"reps\": {REPS},\n  \"workload\": {{\"requests\": {total}, \"distinct\": {DISTINCT_QUERIES}, \"nodes\": {NODES}, \"population\": {}, \"seed\": {SEED}}},\n  \"modes\": [\n{modes}\n  ],\n  \"speedup_vs_sequential\": {{\"batched_flat\": {speedup_flat:.2}, \"batched_threaded\": {speedup_threaded:.2}}},\n  \"deterministic_flat\": {deterministic},\n  \"flat_threaded_identical\": {drivers_agree}\n}}",
+        smoke(),
         NODES * per_node(),
     );
     println!("{json}");
@@ -461,6 +542,7 @@ fn main() {
             eprintln!("json: {}", path.display());
         }
     }
+    write_root_json("BENCH_batch.json", &json);
 
     assert!(deterministic, "batched flat runs must be bit-identical");
     assert!(
@@ -481,19 +563,7 @@ fn main() {
         smoke(),
     );
     println!("{index_json}");
-
-    // The trajectory lands at the repository root so successive PRs can
-    // diff it; fall back to CWD when the manifest-relative path is absent.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let target = if root.is_dir() {
-        root.join("BENCH_rank_index.json")
-    } else {
-        std::path::PathBuf::from("BENCH_rank_index.json")
-    };
-    match std::fs::write(&target, &index_json) {
-        Ok(()) => eprintln!("json: {}", target.display()),
-        Err(e) => eprintln!("could not write {}: {e}", target.display()),
-    }
+    write_root_json("BENCH_rank_index.json", &index_json);
 
     assert!(
         all_identical,
@@ -515,18 +585,10 @@ fn main() {
     let pool = pool_vs_spawn();
     let pool_json = pool.json();
     println!("{pool_json}");
-    let pool_target = if root.is_dir() {
-        root.join("BENCH_runtime_pool.json")
-    } else {
-        std::path::PathBuf::from("BENCH_runtime_pool.json")
-    };
-    match std::fs::write(&pool_target, &pool_json) {
-        Ok(()) => eprintln!("json: {}", pool_target.display()),
-        Err(e) => eprintln!("could not write {}: {e}", pool_target.display()),
-    }
+    write_root_json("BENCH_runtime_pool.json", &pool_json);
     assert!(
         pool.identical,
-        "pool and spawn-per-call strategies must compute identical sums"
+        "pool, spawn-per-call and inline strategies must compute identical sums"
     );
     let pool_speedup = pool.speedup();
     assert!(

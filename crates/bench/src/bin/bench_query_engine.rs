@@ -1,14 +1,19 @@
-//! Batched query-engine benchmark: the cache-conscious resolvers against
-//! the two-`partition_point` baseline they replaced.
+//! Batched query-engine benchmark: the sorted-batch sweep against the
+//! two-`partition_point` baseline.
 //!
 //! For each cell of a node-count × query-count grid the same query
-//! workload is answered three ways over one [`RankIndex`]:
+//! workload is answered two ways over one [`RankIndex`]:
 //!
 //! * **baseline** — per query, two `partition_point` binary searches
-//!   over the sorted values (the pre-engine indexed path);
-//! * **eytzinger** — per query, the branchless BFS-layout descent;
+//!   over the sorted values ([`RankIndex::estimate`]);
 //! * **batch** — the whole workload in one call, its `2q` boundaries
-//!   sorted once and resolved in a single galloping forward sweep.
+//!   sorted once and resolved in a single galloping forward sweep
+//!   ([`RankIndex::estimate_sweep`]).
+//!
+//! Each cell also names the resolver [`engine::batch_resolver`] picks
+//! for it (`resolver`), which is what `QueryIndex::estimate_batch` and
+//! the broker's batch driver run: the sweep should be picked exactly
+//! where it wins.
 //!
 //! Every path is timed as the minimum of `REPS` runs, and every run's
 //! released bits must be identical across reps *and* across paths
@@ -27,6 +32,7 @@
 use std::time::Instant;
 
 use prc_core::broker::DataBroker;
+use prc_core::estimator::engine::{self, BatchResolver};
 use prc_core::estimator::RankIndex;
 use prc_core::query::{Accuracy, QueryRequest, RangeQuery};
 use prc_net::base_station::BaseStation;
@@ -103,23 +109,24 @@ fn time_path(label: &str, mut run: impl FnMut() -> Vec<u64>) -> (f64, Vec<u64>) 
     (best, bits.unwrap_or_default())
 }
 
-/// One grid cell: the same workload through all three resolver paths.
+/// One grid cell: the same workload through both resolver paths.
 struct EngineCell {
     nodes: usize,
     queries: usize,
     merged_entries: usize,
     baseline_seconds: f64,
-    eytzinger_seconds: f64,
     batch_seconds: f64,
     gallop_steps: u64,
     identical: bool,
 }
 
 impl EngineCell {
-    /// Per-query speedup of the single-query Eytzinger descent over the
-    /// `partition_point` baseline.
-    fn speedup_eytzinger(&self) -> f64 {
-        self.baseline_seconds / self.eytzinger_seconds.max(1e-12)
+    /// The resolver the engine's dispatch rule picks for this cell.
+    fn resolver(&self) -> &'static str {
+        match engine::batch_resolver(self.queries, self.merged_entries) {
+            BatchResolver::PartitionPoint => "partition_point",
+            BatchResolver::Sweep => "sweep",
+        }
     }
 
     /// Per-query speedup of the sorted-batch sweep over the baseline —
@@ -130,30 +137,32 @@ impl EngineCell {
 
     fn json(&self) -> String {
         format!(
-            "    {{\"nodes\": {}, \"queries\": {}, \"merged_entries\": {}, \"baseline_seconds\": {:.6}, \"eytzinger_seconds\": {:.6}, \"batch_seconds\": {:.6}, \"baseline_qps\": {:.2}, \"eytzinger_qps\": {:.2}, \"batch_qps\": {:.2}, \"speedup_eytzinger\": {:.2}, \"speedup_batch\": {:.2}, \"gallop_steps\": {}, \"identical\": {}}}",
+            "    {{\"nodes\": {}, \"queries\": {}, \"merged_entries\": {}, \"baseline_seconds\": {:.6}, \"batch_seconds\": {:.6}, \"baseline_qps\": {:.2}, \"batch_qps\": {:.2}, \"speedup_batch\": {:.2}, \"resolver\": \"{}\", \"gallop_steps\": {}, \"identical\": {}}}",
             self.nodes,
             self.queries,
             self.merged_entries,
             self.baseline_seconds,
-            self.eytzinger_seconds,
             self.batch_seconds,
             queries_per_sec(self.queries, self.baseline_seconds),
-            queries_per_sec(self.queries, self.eytzinger_seconds),
             queries_per_sec(self.queries, self.batch_seconds),
-            self.speedup_eytzinger(),
             self.speedup_batch(),
+            self.resolver(),
             self.gallop_steps,
             self.identical,
         )
     }
 }
 
-/// Benchmarks the three resolver paths across node and query counts.
+/// Benchmarks both resolver paths across node and query counts.
 fn engine_trajectory() -> Vec<EngineCell> {
     let (node_counts, query_counts, per_node): (&[usize], &[usize], usize) = if smoke() {
         (&[16, 64], &[4, 16], 64)
     } else {
-        (&[64, 1_024, 16_384], &[16, 256, 4_096], 128)
+        (
+            &[64, 1_024, 2_048, 4_096, 8_192, 16_384],
+            &[16, 256, 1_024, 2_048, 4_096],
+            128,
+        )
     };
     let p = 0.25;
     let mut cells = Vec::new();
@@ -166,18 +175,12 @@ fn engine_trajectory() -> Vec<EngineCell> {
             let (baseline_seconds, baseline_bits) = time_path("baseline", || {
                 queries
                     .iter()
-                    .map(|&q| index.estimate_baseline(q).to_bits())
-                    .collect()
-            });
-            let (eytzinger_seconds, eytzinger_bits) = time_path("eytzinger", || {
-                queries
-                    .iter()
                     .map(|&q| index.estimate(q).to_bits())
                     .collect()
             });
             let mut gallop_steps = 0;
             let (batch_seconds, batch_bits) = time_path("batch", || {
-                let batch = index.estimate_batch(&queries);
+                let batch = index.estimate_sweep(&queries);
                 gallop_steps = batch.gallop_steps;
                 batch.estimates.iter().map(|e| e.to_bits()).collect()
             });
@@ -187,10 +190,9 @@ fn engine_trajectory() -> Vec<EngineCell> {
                 queries: count,
                 merged_entries: index.merged_entries(),
                 baseline_seconds,
-                eytzinger_seconds,
                 batch_seconds,
                 gallop_steps,
-                identical: baseline_bits == eytzinger_bits && baseline_bits == batch_bits,
+                identical: baseline_bits == batch_bits,
             });
         }
     }

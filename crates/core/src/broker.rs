@@ -152,8 +152,8 @@ pub struct StageCounters {
     /// Gauge: live segments in the current index (`0` when none).
     #[serde(default)]
     pub segments_live: u64,
-    /// Estimates resolved through the engine's cache-conscious boundary
-    /// resolvers (Eytzinger descent or sorted-batch sweep) — every
+    /// Estimates resolved through the engine's boundary resolvers
+    /// (per-query `partition_point` or the sorted-batch sweep) — every
     /// indexed estimate since the engine became the index's resolver.
     #[serde(default)]
     pub engine_hits: u64,
@@ -190,7 +190,10 @@ pub struct BatchStats {
     pub cache_hits: u64,
     /// Chargeable (non-piggybacked) messages the batch added to the meter.
     pub chargeable_messages: u64,
-    /// Widest estimator fan-out used by any tier.
+    /// Widest estimator fan-out used by any tier: the chunk lanes its
+    /// Estimate stage actually ran on, `1` for a tier answered inline
+    /// below [`crate::pipeline::batch::ESTIMATE_FAN_OUT_MIN`] (`0` when
+    /// no tier estimated anything).
     pub fan_out_threads: u64,
     /// Query-index builds triggered by this batch.
     pub index_builds: u64,
@@ -815,7 +818,8 @@ mod tests {
         assert_eq!(report.stats.cache_hits, 1);
         assert!(report.stats.samples_collected > 0);
         assert!(report.stats.chargeable_messages > 0);
-        assert!(report.stats.fan_out_threads >= 1);
+        // Every tier is far below the fan-out cutoff, so each ran inline.
+        assert_eq!(report.stats.fan_out_threads, 1);
         for (i, result) in report.answers.iter().enumerate() {
             let answer = result.as_ref().unwrap();
             assert_eq!(answer.query, workload[i].query, "slot {i} out of order");
@@ -824,6 +828,32 @@ mod tests {
         let a0 = report.answers[0].as_ref().unwrap();
         let a2 = report.answers[2].as_ref().unwrap();
         assert_eq!(a0.value.to_bits(), a2.value.to_bits());
+    }
+
+    #[test]
+    fn answer_batch_fans_out_only_above_the_cutoff() {
+        use crate::pipeline::batch::ESTIMATE_FAN_OUT_MIN;
+        // One rate tier of `count` distinct ranges; with a one-segment
+        // index each query declares one sorted-array search.
+        let tier = |count: usize| -> Vec<QueryRequest> {
+            (0..count)
+                .map(|i| request(i as f64, 5_000.0 + i as f64, 0.1, 0.6))
+                .collect()
+        };
+        let run = |workload: &[QueryRequest]| {
+            let mut broker = DataBroker::new(network(5, 2_000, 13), 13);
+            broker.set_index_threshold(0);
+            let report = broker.answer_batch(workload);
+            assert_eq!(report.stats.rate_tiers, 1);
+            assert_eq!(report.stats.indexed_estimates, workload.len() as u64);
+            report.stats.fan_out_threads
+        };
+        assert_eq!(run(&tier(ESTIMATE_FAN_OUT_MIN - 1)), 1);
+        let above = 2 * ESTIMATE_FAN_OUT_MIN;
+        assert_eq!(
+            run(&tier(above)),
+            prc_runtime::Runtime::global().lanes_for(above) as u64
+        );
     }
 
     #[test]

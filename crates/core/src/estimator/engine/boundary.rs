@@ -14,8 +14,7 @@ use crate::query::RangeQuery;
 /// range, `pos_l` names a node-local predecessor candidate at
 /// `pos_l - 1`, and `pos_u` a successor candidate. These are exactly
 /// `partition_point(key < lower)` and `partition_point(key <= upper)`;
-/// any accelerated resolver (the Eytzinger descent, the sorted-batch
-/// sweep) must return the same indices bit-for-bit.
+/// the sorted-batch sweep must return the same indices bit-for-bit.
 pub fn boundary_ranks_by<T>(
     items: &[T],
     query: RangeQuery,

@@ -1,24 +1,27 @@
-//! The cache-conscious batched query engine.
+//! The batched query engine.
 //!
 //! Every estimator path in this crate answers a range query by locating
 //! the same two boundaries in a value-sorted sequence: the first
 //! position whose value is `>= lower` and the first `> upper`. The
-//! engine owns that resolution step in three forms, all returning
+//! engine owns that resolution step in two forms, both returning
 //! *exactly* the indices `slice::partition_point` would:
 //!
-//! * [`boundary_ranks`] / [`entry_boundary_ranks`] — the shared
-//!   two-`partition_point` baseline every scan-path estimator calls (and
-//!   the reference the other two forms are proven against);
-//! * [`EytzingerSearcher`] — a BFS-order (Eytzinger) relayout of the
-//!   sorted values with a branchless descent, built once per merged
-//!   index segment, so a single query's two searches touch a
-//!   cache-friendly prefix instead of random-walking the whole array;
-//! * [`resolve_batch`] — the sorted-batch sweep for `answer_batch`: all
-//!   `2q` boundaries of a query batch are sorted once (an index-stable,
-//!   total order) and resolved in one forward pass, galloping from the
-//!   previous hit instead of restarting at the root.
+//! * [`boundary_ranks`] / [`entry_boundary_ranks`] — two
+//!   `partition_point` searches per query: every single-query path and
+//!   every scan-path estimator resolves through it;
+//! * [`resolve_batch`] — the sorted-batch sweep: all `2q` boundaries of
+//!   a query batch are sorted once (an index-stable, total order) and
+//!   resolved in one forward pass, galloping from the previous hit
+//!   instead of restarting at the root.
 //!
-//! Because every form resolves to identical indices, the downstream
+//! Which form answers a batch is a cost decision, [`batch_resolver`]:
+//! the sweep's sort only pays for itself on large, dense batches over
+//! merged arrays too large for cache (at least [`SWEEP_MIN_QUERIES`]
+//! queries over at least [`SWEEP_MIN_ENTRIES`] entries, under 128
+//! entries per probe); everything else goes per query through
+//! `partition_point`.
+//!
+//! Because both forms resolve to identical indices, the downstream
 //! `(ΣA, ΣB)` integer aggregation is untouched and released answers
 //! stay bit-identical across the scan, indexed, and batched paths.
 //!
@@ -28,11 +31,12 @@
 //! under the same revision stamps that pin the query index to an epoch.
 
 mod boundary;
-mod eytzinger;
 mod plan_cache;
 mod sweep;
 
 pub use boundary::{boundary_ranks, boundary_ranks_by, entry_boundary_ranks};
-pub use eytzinger::EytzingerSearcher;
 pub(crate) use plan_cache::PlanCache;
-pub use sweep::{resolve_batch, resolve_batch_with, ResolvedBoundaries};
+pub use sweep::{
+    batch_resolver, resolve_batch, resolve_batch_with, BatchResolver, ResolvedBoundaries,
+    SWEEP_MIN_ENTRIES, SWEEP_MIN_QUERIES,
+};

@@ -87,6 +87,61 @@ fn probe_parts(key: u128) -> (f64, bool, usize) {
     (value, is_lower, slot)
 }
 
+/// The boundary resolver a batch is answered through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchResolver {
+    /// Two `partition_point` searches per query ([`super::boundary_ranks`]).
+    PartitionPoint,
+    /// One sorted forward sweep over the whole batch ([`resolve_batch`]).
+    Sweep,
+}
+
+/// Fewest queries for which the sweep can beat per-query
+/// `partition_point`; see [`batch_resolver`].
+pub const SWEEP_MIN_QUERIES: usize = 1 << 12;
+
+/// Fewest merged entries for which the sweep can beat per-query
+/// `partition_point`; see [`batch_resolver`].
+pub const SWEEP_MIN_ENTRIES: usize = 1 << 17;
+
+/// Picks the resolver for `queries` range queries over `entries` sorted
+/// entries. The sweep is picked only when all three hold: at least
+/// [`SWEEP_MIN_QUERIES`] queries, at least [`SWEEP_MIN_ENTRIES`]
+/// entries, and probes dense enough for the sweep's merge-scan mode
+/// (fewer than 128 entries per probe, the sweep's own mode cutoff).
+///
+/// The sweep pays `O(q log q)` to sort its `2q` probe keys up front. It
+/// only wins where per-query searches are dear, because the value and
+/// aggregate arrays (six 8-byte words per entry) no longer fit in
+/// cache, and only in merge-scan mode, which streams the arrays once;
+/// its sparse gallop mode never wins clearly. `BENCH_query_engine.json`
+/// gives `speedup_batch` (sweep over `partition_point`, min of 3) per
+/// cell; over eight full runs on a 2-core x86-64 VM:
+/// - up to 65,512 entries no cell wins consistently (medians 0.3–0.9×);
+/// - at 130,964 entries only 4,096 queries win, and not in every run
+///   (0.84–1.57×);
+/// - at 262,580 entries 4,096 queries win in every run (1.41–1.79×);
+///   2,048 queries range 0.75–1.64×, and 1,024 or fewer mostly lose;
+/// - at 525,478 entries 4,096 queries win in every run (1.44–2.14×);
+///   2,048 queries do not (0.62–1.11×): probes are 128 entries apart
+///   there, so the sweep gallops.
+///
+/// The rule takes only the cells that win in every run: `2^12` queries
+/// over `2^17` entries (between 130,964 and 262,580) or more.
+///
+/// Either resolver returns the exact `partition_point` indices, so the
+/// choice never changes a released bit.
+#[must_use]
+pub const fn batch_resolver(queries: usize, entries: usize) -> BatchResolver {
+    let probes = queries.saturating_mul(2);
+    let dense = probes > 0 && entries / probes < MERGE_GAP_MAX;
+    if queries >= SWEEP_MIN_QUERIES && entries >= SWEEP_MIN_ENTRIES && dense {
+        BatchResolver::Sweep
+    } else {
+        BatchResolver::PartitionPoint
+    }
+}
+
 /// Boundary positions for a batch of queries, scattered back into
 /// submission order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -304,6 +359,20 @@ mod tests {
             })
             .collect();
         assert_matches_baseline(&values, &queries);
+    }
+
+    #[test]
+    fn the_sweep_needs_a_large_dense_batch_over_large_arrays() {
+        let (q, s) = (SWEEP_MIN_QUERIES, SWEEP_MIN_ENTRIES);
+        assert_eq!(batch_resolver(q, s), BatchResolver::Sweep);
+        assert_eq!(batch_resolver(q - 1, s), BatchResolver::PartitionPoint);
+        assert_eq!(batch_resolver(q, s - 1), BatchResolver::PartitionPoint);
+        // Probes `MERGE_GAP_MAX` entries apart would gallop.
+        let sparse = 2 * q * MERGE_GAP_MAX;
+        assert_eq!(batch_resolver(q, sparse - 1), BatchResolver::Sweep);
+        assert_eq!(batch_resolver(q, sparse), BatchResolver::PartitionPoint);
+        assert_eq!(batch_resolver(0, 0), BatchResolver::PartitionPoint);
+        assert_eq!(batch_resolver(1, usize::MAX), BatchResolver::PartitionPoint);
     }
 
     /// Chunking a batch cannot change any resolved position — the

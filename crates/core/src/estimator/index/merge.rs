@@ -10,7 +10,7 @@ use std::slice;
 use prc_net::message::SampleEntry;
 use prc_runtime::{CutoffPolicy, Runtime};
 
-use crate::estimator::engine::{self, EytzingerSearcher};
+use crate::estimator::engine;
 use crate::query::RangeQuery;
 
 /// One source of a merge: a node's rank-sorted entry slice plus its
@@ -232,9 +232,6 @@ pub(crate) struct MergedArrays {
     suf_pop: Vec<i64>,
     /// Σ `n_i` over all sources (entry-less sources included).
     total_population: i64,
-    /// Eytzinger relayout of `values`, built once with the arrays: the
-    /// engine's single-query boundary resolver.
-    searcher: EytzingerSearcher,
 }
 
 impl MergedArrays {
@@ -286,21 +283,18 @@ impl MergedArrays {
     }
 
     /// The exact integer aggregates `(ΣA, ΣB)` over every source, for
-    /// one query: two Eytzinger boundary searches, five lookups. The
-    /// searcher returns exactly the `partition_point` indices (see
-    /// [`MergedArrays::rank_terms_baseline`]), so the aggregates — and
-    /// every released answer — are bit-identical to the baseline.
+    /// one query: two `partition_point` searches
+    /// ([`engine::boundary_ranks`]), five lookups.
     pub fn rank_terms(&self, query: RangeQuery) -> (i64, i64) {
-        let (pos_l, pos_u) = self.searcher.boundary_ranks(query);
-        self.rank_terms_at(pos_l, pos_u)
-    }
-
-    /// The reference resolver: the shared two-`partition_point`
-    /// baseline ([`engine::boundary_ranks`]) the engine paths are
-    /// proven against, kept for equivalence tests and benchmarks.
-    pub fn rank_terms_baseline(&self, query: RangeQuery) -> (i64, i64) {
         let (pos_l, pos_u) = engine::boundary_ranks(&self.sequence.values, query);
-        self.rank_terms_at(pos_l, pos_u)
+        combine_terms(
+            self.total_population,
+            self.cum_pred_rank[pos_l],
+            self.cum_first[pos_l],
+            self.suf_succ_rank[pos_u],
+            self.suf_last[pos_u],
+            self.suf_pop[pos_u],
+        )
     }
 
     /// One `(ΣA, ΣB)` per query, the batch's boundaries resolved in a
@@ -347,19 +341,6 @@ impl MergedArrays {
         (terms, gallop_steps)
     }
 
-    /// The five aggregate lookups for already-resolved boundary
-    /// positions, feeding the shared combine.
-    fn rank_terms_at(&self, pos_l: usize, pos_u: usize) -> (i64, i64) {
-        combine_terms(
-            self.total_population,
-            self.cum_pred_rank[pos_l],
-            self.cum_first[pos_l],
-            self.suf_succ_rank[pos_u],
-            self.suf_last[pos_u],
-            self.suf_pop[pos_u],
-        )
-    }
-
     /// Number of merged sample entries (`S`).
     pub fn len(&self) -> usize {
         self.sequence.values.len()
@@ -398,7 +379,7 @@ pub(crate) struct MergedBits {
 
 /// The `(ΣA, ΣB)` combine over the five aggregate values at a query's
 /// two boundaries — the one place this arithmetic exists, shared by
-/// every resolver so a faster boundary search can never change it.
+/// both resolvers so the sweep can never change it.
 fn combine_terms(
     total_population: i64,
     pred_rank: i64,
@@ -462,7 +443,6 @@ fn accumulate(sequence: Sequence, populations: &[i64]) -> MergedArrays {
         *pop_slot = pop;
     }
 
-    let searcher = EytzingerSearcher::from_sorted(&sequence.values);
     MergedArrays {
         sequence,
         cum_pred_rank,
@@ -471,6 +451,5 @@ fn accumulate(sequence: Sequence, populations: &[i64]) -> MergedArrays {
         suf_last,
         suf_pop,
         total_population: populations.iter().sum(),
-        searcher,
     }
 }

@@ -71,7 +71,7 @@ impl RankIndex {
         })
     }
 
-    /// Answers one range query in `O(log S)`: two Eytzinger boundary
+    /// Answers one range query in `O(log S)`: two `partition_point`
     /// searches over the merged values, five prefix/suffix lookups, one
     /// combine.
     pub fn estimate(&self, query: RangeQuery) -> f64 {
@@ -79,19 +79,11 @@ impl RankIndex {
         finish_rank_terms(sum_a, sum_b, self.probability)
     }
 
-    /// Answers one query through the plain two-`partition_point`
-    /// resolver instead of the Eytzinger descent — the reference the
-    /// engine paths are proven bit-identical against (property tests
-    /// and the `bench_query_engine` self-check).
-    pub fn estimate_baseline(&self, query: RangeQuery) -> f64 {
-        let (sum_a, sum_b) = self.arrays.rank_terms_baseline(query);
-        finish_rank_terms(sum_a, sum_b, self.probability)
-    }
-
     /// Answers a whole batch through the engine's sorted-boundary sweep:
     /// same bits as calling [`RankIndex::estimate`] per query, resolved
     /// in one forward pass over the merged values.
-    pub fn estimate_batch(&self, queries: &[RangeQuery]) -> BatchEstimate {
+    /// [`QueryIndex::estimate_batch`] calls it only where the sweep wins.
+    pub fn estimate_sweep(&self, queries: &[RangeQuery]) -> BatchEstimate {
         let (terms, gallop_steps) = self.arrays.rank_terms_batch(queries);
         BatchEstimate {
             estimates: terms
@@ -124,8 +116,8 @@ impl QueryIndex for RankIndex {
         RankIndex::estimate(self, query)
     }
 
-    fn estimate_batch(&self, queries: &[RangeQuery]) -> BatchEstimate {
-        RankIndex::estimate_batch(self, queries)
+    fn estimate_sweep(&self, queries: &[RangeQuery]) -> BatchEstimate {
+        RankIndex::estimate_sweep(self, queries)
     }
 
     fn merged_entries(&self) -> usize {

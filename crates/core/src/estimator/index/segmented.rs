@@ -215,26 +215,13 @@ impl SegmentedRankIndex {
         (sum_a, sum_b)
     }
 
-    /// [`SegmentedRankIndex::estimate`] through the plain
-    /// two-`partition_point` resolver instead of the Eytzinger descent
-    /// (the reference for equivalence tests and benches).
-    pub fn estimate_baseline(&self, query: RangeQuery) -> f64 {
-        let mut sum_a = 0i64;
-        let mut sum_b = 0i64;
-        for segment in &self.segments {
-            let (a, b) = segment.rank_terms_baseline(query);
-            sum_a += a;
-            sum_b += b;
-        }
-        finish_rank_terms(sum_a, sum_b, self.probability)
-    }
-
     /// Answers a whole batch through the engine's sorted-boundary
     /// sweep, one forward pass per segment: same bits as calling
     /// [`SegmentedRankIndex::estimate`] per query (integer addition is
     /// grouping-independent, and each sweep resolves the exact
-    /// `partition_point` positions).
-    pub fn estimate_batch(&self, queries: &[RangeQuery]) -> BatchEstimate {
+    /// `partition_point` positions). [`QueryIndex::estimate_batch`]
+    /// calls it only where the sweep wins.
+    pub fn estimate_sweep(&self, queries: &[RangeQuery]) -> BatchEstimate {
         let mut terms = vec![(0i64, 0i64); queries.len()];
         let mut gallop_steps = 0u64;
         for segment in &self.segments {
@@ -308,8 +295,8 @@ impl QueryIndex for SegmentedRankIndex {
         SegmentedRankIndex::estimate(self, query)
     }
 
-    fn estimate_batch(&self, queries: &[RangeQuery]) -> BatchEstimate {
-        SegmentedRankIndex::estimate_batch(self, queries)
+    fn estimate_sweep(&self, queries: &[RangeQuery]) -> BatchEstimate {
+        SegmentedRankIndex::estimate_sweep(self, queries)
     }
 
     fn merged_entries(&self) -> usize {

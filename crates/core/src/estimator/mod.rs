@@ -59,7 +59,8 @@ pub struct BatchEstimate {
     pub estimates: Vec<f64>,
     /// Forward-advance steps the sorted-batch sweep took — gallop
     /// doublings when probes are sparse, cache-line strides in dense
-    /// merge-scan mode (`0` on the per-query fallback path).
+    /// merge-scan mode (`0` when the batch went per query through
+    /// `partition_point`).
     /// Diagnostic: the total depends on how the caller chunks the
     /// batch, never on the estimates.
     pub gallop_steps: u64,
@@ -80,18 +81,26 @@ pub trait QueryIndex: std::fmt::Debug + Send + Sync {
     /// Estimates the global count `γ(l, u, D)` for one query.
     fn estimate(&self, query: RangeQuery) -> f64;
 
-    /// Estimates a whole batch of queries in submission order.
+    /// Estimates a batch in submission order through the engine's
+    /// sorted-batch sweep ([`engine::resolve_batch`]), whatever its size.
     ///
-    /// Must return exactly the bits of calling
-    /// [`QueryIndex::estimate`] per query; implementations backed by
-    /// the [`engine`] resolve the batch's sorted boundaries in one
-    /// forward sweep instead ([`engine::resolve_batch`]), which
-    /// preserves the identity by construction. The default falls back
-    /// to the per-query path.
+    /// Must return exactly the bits of calling [`QueryIndex::estimate`]
+    /// per query; the sweep resolves the exact `partition_point`
+    /// indices, which preserves the identity by construction.
+    fn estimate_sweep(&self, queries: &[RangeQuery]) -> BatchEstimate;
+
+    /// Estimates a batch in submission order through the resolver
+    /// [`engine::batch_resolver`] picks for its size and
+    /// [`QueryIndex::merged_entries`]: the sweep for large batches over
+    /// large indexes, [`QueryIndex::estimate`] per query otherwise.
+    /// Same bits either way.
     fn estimate_batch(&self, queries: &[RangeQuery]) -> BatchEstimate {
-        BatchEstimate {
-            estimates: queries.iter().map(|&query| self.estimate(query)).collect(),
-            gallop_steps: 0,
+        match engine::batch_resolver(queries.len(), self.merged_entries()) {
+            engine::BatchResolver::Sweep => self.estimate_sweep(queries),
+            engine::BatchResolver::PartitionPoint => BatchEstimate {
+                estimates: queries.iter().map(|&query| self.estimate(query)).collect(),
+                gallop_steps: 0,
+            },
         }
     }
 

@@ -7,13 +7,21 @@
 //! network up to that tier (lower tiers are answered at their own,
 //! cheaper rate — exactly what a sorted sequence of single sessions
 //! would do). Within a tier, admission, planning, and budget holds run
-//! sequentially in input order; the [`Estimate`] stage fans out over
-//! the shared [`prc_runtime::Runtime`] pool against the shared
-//! base-station sample; the
-//! [`Perturb`] stage then runs sequentially in input order, keeping the
-//! whole batch deterministic in the broker's seed regardless of thread
-//! scheduling. Each member's hold is committed at its [`Settle`] or
-//! rolled back if its release fails.
+//! sequentially in input order. The [`Estimate`] stage then answers the
+//! tier against the shared base-station sample, on the calling thread
+//! unless the tier declares at least [`ESTIMATE_FAN_OUT_MIN`] sorted-array
+//! searches, in which case it fans out over the shared
+//! [`prc_runtime::Runtime`] pool. With a query index ready, each chunk
+//! goes through [`QueryIndex::estimate_batch`], which picks per-query
+//! `partition_point` or the sorted-batch sweep by
+//! [`engine::batch_resolver`]. The [`Perturb`] stage runs sequentially
+//! in input order, keeping the whole batch deterministic in the
+//! broker's seed regardless of thread scheduling. Each member's hold is
+//! committed at its [`Settle`] or rolled back if its release fails.
+//!
+//! [`Estimate`]: crate::pipeline::stages::Estimate
+//! [`QueryIndex::estimate_batch`]: crate::estimator::QueryIndex::estimate_batch
+//! [`engine::batch_resolver`]: crate::estimator::engine::batch_resolver
 
 use std::collections::BTreeMap;
 
@@ -33,6 +41,30 @@ use crate::pipeline::stages::{
 };
 use crate::pipeline::QuerySession;
 use crate::query::QueryRequest;
+
+/// Fewest sorted-array boundary searches a tier's Estimate stage must
+/// declare before it is handed to the runtime pool. A query searches
+/// each segment's merged arrays on the index path and each node's
+/// sample on the scan path, so a tier declares `queries × segments` or
+/// `queries × k`.
+///
+/// Derivation: `BENCH_runtime_pool.json` puts one pool call's overhead
+/// beyond its share of the work (`dispatch_us`: wake the workers, hand
+/// out the chunks, join) at 5–7 µs on a two-lane pool. Splitting `W`
+/// searches of `c` ns over two lanes saves `W × c / 2`. An index query
+/// costs ~55 ns (`BENCH_query_engine.json`, `baseline_qps` at 2,063
+/// entries), so it breaks even at ~200–260 searches; a scan-path node
+/// search costs ~20 ns (`BENCH_rank_index.json`, `scan_qps` at 64
+/// nodes), breaking even at ~500–700. `2^9` sits between the two; a
+/// tier on the wrong side of its own break-even by 2× gains or loses at
+/// most one dispatch. Chunk results are flattened in submission order
+/// and estimates are chunk-invariant, so the cutoff never changes a
+/// released bit, only which thread computes it.
+pub const ESTIMATE_FAN_OUT_MIN: usize = 1 << 9;
+
+/// The Estimate stage's cutoff policy, with work measured in sorted-array
+/// searches (see [`ESTIMATE_FAN_OUT_MIN`]).
+const ESTIMATE_CUTOFF: CutoffPolicy = CutoffPolicy::min_work(ESTIMATE_FAN_OUT_MIN);
 
 /// One tier member that survived admission and reservation, awaiting its
 /// estimate and release.
@@ -140,13 +172,12 @@ where
         }
 
         if !pending.is_empty() {
-            // Estimate: fan out over the shared sample. The station is
-            // immutable for the rest of the tier, so worker threads share
-            // it; chunked spawning keeps the result order (and therefore
-            // the released answers) deterministic. With a query index
-            // ready for this epoch, every worker answers through it —
-            // same bits as the scan, `O(log S)` per query instead of
-            // `O(k log s)`.
+            // Estimate over the shared sample. The station is immutable
+            // for the rest of the tier, so worker threads can share it;
+            // a tier too small to pay for a pool dispatch stays on this
+            // thread. With a query index ready for this epoch, every
+            // chunk answers through it — same bits as the scan,
+            // `O(log S)` per query instead of `O(k log s)`.
             prepare_index(broker, pending.len() as u64);
             let station = broker.network.station();
             let estimator = &broker.estimator;
@@ -154,17 +185,15 @@ where
                 IndexState::Ready(_, index) => Some(index.as_ref()),
                 _ => None,
             };
-            let runtime = Runtime::global();
-            fan_out_threads = fan_out_threads.max(runtime.lanes_for(pending.len()) as u64);
+            let searches_per_query = index.map_or(k, |index| index.segments());
             // Chunk results flatten in submission order, so the released
             // answers are independent of worker count and scheduling.
-            // Each chunk resolves its boundaries in one sorted sweep
-            // through the engine's batch path (gallop-step meter rides
-            // along; the estimates themselves are chunk-invariant).
-            let chunked: Vec<(Vec<f64>, u64)> = runtime.map_chunked(
+            // The gallop-step meter rides along; the estimates
+            // themselves are chunk-invariant.
+            let chunked: Vec<(Vec<f64>, u64)> = Runtime::global().map_chunked(
                 &pending,
-                pending.len(),
-                CutoffPolicy::always_parallel(),
+                pending.len().saturating_mul(searches_per_query),
+                ESTIMATE_CUTOFF,
                 |chunk| match index {
                     Some(index) => {
                         let queries: Vec<_> = chunk
@@ -185,6 +214,7 @@ where
                     ),
                 },
             );
+            fan_out_threads = fan_out_threads.max(chunked.len() as u64);
             let gallop_steps: u64 = chunked.iter().map(|(_, steps)| steps).sum();
             let estimates: Vec<f64> = chunked
                 .into_iter()

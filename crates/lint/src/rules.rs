@@ -608,7 +608,7 @@ mod tests {
         // a clock read or unordered map there would let resolved
         // positions drift between runs and break the bit-identity
         // contract the batched sweep is proven against.
-        for file in ["mod.rs", "sweep.rs", "eytzinger.rs", "plan_cache.rs"] {
+        for file in ["mod.rs", "sweep.rs", "boundary.rs", "plan_cache.rs"] {
             let path = format!("crates/core/src/estimator/engine/{file}");
             assert!(scope::is_deterministic_path(&path), "{path}");
         }

@@ -1,22 +1,30 @@
 //! Property-based tests for the batched query engine.
 //!
-//! The engine's contract is *bit-identity*: the Eytzinger descent, the
-//! sorted-batch sweep, and the plain two-`partition_point` baseline must
-//! resolve exactly the same boundary indices on any sorted array — so
-//! every downstream `(ΣA, ΣB)` aggregate, and therefore every released
-//! answer, is independent of which resolver ran and of how a driver
-//! chunked the batch across workers. The sweep drives random arrays
+//! The engine's contract is *bit-identity*: the sorted-batch sweep and
+//! the two-`partition_point` baseline must resolve exactly the same
+//! boundary indices on any sorted array — so every downstream
+//! `(ΣA, ΣB)` aggregate, and therefore every released answer, is
+//! independent of which resolver ran and of how a driver chunked the
+//! batch across workers. The properties drive random arrays
 //! (duplicate-heavy, empty, all-equal, zero-valued samples), bounds
 //! including explicit signed zeros, chunk widths standing in for worker
 //! counts 1..=8, segmented indexes through 1..=5 delta rounds, and the
-//! three network drivers against each other.
+//! three network drivers against each other. Two fixed tests straddle
+//! the cost thresholds: the sweep rule ([`batch_resolver`]) and the
+//! batch driver's fan-out cutoff ([`ESTIMATE_FAN_OUT_MIN`]).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use prc::core::estimator::engine::{boundary_ranks, resolve_batch, EytzingerSearcher};
+use prc::core::estimator::engine::{
+    batch_resolver, boundary_ranks, resolve_batch, BatchResolver, SWEEP_MIN_ENTRIES,
+    SWEEP_MIN_QUERIES,
+};
+use prc::core::estimator::index::{finish_rank_terms, scan_rank_terms};
+use prc::core::pipeline::batch::ESTIMATE_FAN_OUT_MIN;
 use prc::net::base_station::BaseStation;
 use prc::prelude::*;
+use prc_runtime::Runtime;
 
 /// Builds a collected network from per-node value lists (sorted per
 /// node, since rank order is value order) and returns its station.
@@ -87,36 +95,8 @@ fn queries_from(bounds: &[f64]) -> Vec<RangeQuery> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The Eytzinger descent returns exactly `partition_point`'s indices
-    /// on any sorted array — duplicate-heavy, empty, or all-equal — for
-    /// probes on, between, below, and above the stored values.
-    #[test]
-    fn eytzinger_matches_partition_point(
-        raw in proptest::collection::vec(-1.0f64..1.0, 0..200),
-        buckets in 1.0f64..24.0,
-        probes in proptest::collection::vec(signed_bound(-30.0f64..30.0), 1..40),
-        zeros in 0usize..5,
-    ) {
-        let values = with_zero_samples(quantize(&raw, buckets), zeros);
-        let searcher = EytzingerSearcher::from_sorted(&values);
-        prop_assert_eq!(searcher.len(), values.len());
-        for &x in &probes {
-            prop_assert_eq!(
-                searcher.lower_bound(x),
-                values.partition_point(|&v| v < x),
-                "lower_bound({}) over {} values", x, values.len()
-            );
-            prop_assert_eq!(
-                searcher.upper_bound(x),
-                values.partition_point(|&v| v <= x),
-                "upper_bound({}) over {} values", x, values.len()
-            );
-        }
-    }
-
-    /// An all-equal array is the degenerate worst case for both the
-    /// descent (every comparison ties) and the gallop (one run): both
-    /// still land on the exact partition points.
+    /// An all-equal array is the degenerate worst case for the gallop
+    /// (one run): the sweep still lands on the exact partition points.
     #[test]
     fn all_equal_arrays_resolve_exactly(
         value in -5.0f64..5.0,
@@ -124,12 +104,10 @@ proptest! {
         bounds in proptest::collection::vec(signed_bound(-10.0f64..10.0), 2..24),
     ) {
         let values = vec![value; len];
-        let searcher = EytzingerSearcher::from_sorted(&values);
         let queries = queries_from(&bounds);
         let resolved = resolve_batch(&values, &queries);
         for (i, &query) in queries.iter().enumerate() {
             let (pos_l, pos_u) = boundary_ranks(&values, query);
-            prop_assert_eq!(searcher.boundary_ranks(query), (pos_l, pos_u));
             prop_assert_eq!((resolved.pos_l[i], resolved.pos_u[i]), (pos_l, pos_u));
         }
     }
@@ -172,8 +150,8 @@ proptest! {
     }
 
     /// On a collected station, every engine path through the monolithic
-    /// index — Eytzinger single queries, the batch sweep, the
-    /// `partition_point` baseline — and the raw per-node scan release
+    /// index — per-query `partition_point`, the forced batch sweep, the
+    /// cost-dispatched batch — and the raw per-node scan release
     /// identical bits.
     #[test]
     fn rank_index_engine_paths_are_bit_identical(
@@ -192,21 +170,18 @@ proptest! {
         let index = RankIndex::build(&station).expect("uniform station");
         let queries = queries_from(&bounds);
 
+        let sweep = index.estimate_sweep(&queries);
         let batch = index.estimate_batch(&queries);
-        prop_assert_eq!(batch.estimates.len(), queries.len());
+        prop_assert_eq!(sweep.estimates.len(), queries.len());
         for (i, &query) in queries.iter().enumerate() {
-            let eytzinger = index.estimate(query);
-            let baseline = index.estimate_baseline(query);
+            let baseline = index.estimate(query);
             let scanned = RankCounting.estimate(&station, query);
             prop_assert_eq!(
-                eytzinger.to_bits(), baseline.to_bits(),
-                "descent {} vs baseline {}", eytzinger, baseline
+                sweep.estimates[i].to_bits(), baseline.to_bits(),
+                "sweep {} vs baseline {}", sweep.estimates[i], baseline
             );
-            prop_assert_eq!(
-                batch.estimates[i].to_bits(), baseline.to_bits(),
-                "batch {} vs baseline {}", batch.estimates[i], baseline
-            );
-            prop_assert_eq!(eytzinger.to_bits(), scanned.to_bits());
+            prop_assert_eq!(batch.estimates[i].to_bits(), baseline.to_bits());
+            prop_assert_eq!(baseline.to_bits(), scanned.to_bits());
         }
     }
 }
@@ -237,10 +212,11 @@ fn run_segmented_rounds(
             );
         }
         let fresh = RankIndex::build(net.station()).expect("uniform station");
+        let sweep = index.estimate_sweep(queries);
         let batch = index.estimate_batch(queries);
         for (i, &query) in queries.iter().enumerate() {
-            let baseline = index.estimate_baseline(query);
-            prop_assert_eq!(index.estimate(query).to_bits(), baseline.to_bits());
+            let baseline = index.estimate(query);
+            prop_assert_eq!(sweep.estimates[i].to_bits(), baseline.to_bits());
             prop_assert_eq!(batch.estimates[i].to_bits(), baseline.to_bits());
             prop_assert_eq!(baseline.to_bits(), fresh.estimate(query).to_bits());
         }
@@ -254,8 +230,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A segmented index carried through 0..=4 delta rounds (so 1..=5
-    /// segments before compaction) answers every engine path — descent,
-    /// batch sweep, baseline — bit-identically to a fresh monolithic
+    /// segments before compaction) answers every engine path — per-query
+    /// `partition_point`, forced sweep, dispatched batch — bit-identically to a fresh monolithic
     /// rebuild after every round.
     #[test]
     fn segmented_engine_paths_survive_delta_rounds(
@@ -340,4 +316,151 @@ proptest! {
             );
         }
     }
+}
+
+/// Sample values and query bounds that have hidden resolver bugs
+/// before: both signed zeros, subnormals of both signs, and small
+/// integers that every node repeats many times.
+const EDGE_VALUES: [f64; 6] = [-0.0, 0.0, 5e-324, -5e-324, 1.0, 7.0];
+
+/// Bounds drawn from [`EDGE_VALUES`] plus both infinities, a far-out
+/// finite value and two repeated interior values.
+const EDGE_BOUNDS: [f64; 11] = [
+    f64::NEG_INFINITY,
+    -0.0,
+    0.0,
+    -5e-324,
+    5e-324,
+    1.0,
+    7.0,
+    64.0,
+    1_000.0,
+    1e300,
+    f64::INFINITY,
+];
+
+/// `k` nodes of `per_node` values: every third value an edge value, the
+/// rest `j / 4`, so each integer appears four times per node.
+fn edge_partitions(k: usize, per_node: usize) -> Vec<Vec<f64>> {
+    (0..k)
+        .map(|i| {
+            (0..per_node)
+                .map(|j| match j % 3 {
+                    0 => EDGE_VALUES[(i + j) % EDGE_VALUES.len()],
+                    _ => (j / 4) as f64,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// `count` queries: every ordered pair of [`EDGE_BOUNDS`] (point
+/// queries included, and `[0.0, -0.0]`, which is valid since the two
+/// zeros compare equal), then duplicated-value ranges over `[0, span)`
+/// with widths 0..=6.
+fn edge_queries(count: usize, span: usize) -> Vec<RangeQuery> {
+    let mut queries: Vec<RangeQuery> = EDGE_BOUNDS
+        .iter()
+        .flat_map(|&l| EDGE_BOUNDS.iter().map(move |&u| (l, u)))
+        .filter_map(|(l, u)| RangeQuery::new(l, u).ok())
+        .collect();
+    let mut i = 0usize;
+    while queries.len() < count {
+        let lower = ((i * 37) % span) as f64;
+        queries.push(RangeQuery::new(lower, lower + (i % 7) as f64).expect("ordered"));
+        i += 1;
+    }
+    queries.truncate(count);
+    queries
+}
+
+/// `estimate_batch` with the batch size on each side of the sweep rule,
+/// over an index large enough for the sweep: both sides release the
+/// per-query bits and the per-node scan's estimates, for monolithic and
+/// segmented indexes alike.
+#[test]
+fn estimate_batch_matches_the_scan_on_both_sides_of_the_sweep_rule() {
+    let per_node = 16_400;
+    let station = collected_station(edge_partitions(8, per_node), 5, 1.0);
+    let p = station.uniform_probability().expect("uniform station");
+    let monolithic = RankIndex::build(&station).expect("uniform station");
+    let segmented = SegmentedRankIndex::build(&station).expect("uniform station");
+    assert!(monolithic.merged_entries() >= SWEEP_MIN_ENTRIES);
+    let indexes: [&dyn QueryIndex; 2] = [&monolithic, &segmented];
+
+    for (count, resolver) in [
+        (SWEEP_MIN_QUERIES - 1, BatchResolver::PartitionPoint),
+        (SWEEP_MIN_QUERIES, BatchResolver::Sweep),
+    ] {
+        let queries = edge_queries(count, per_node / 4);
+        assert_eq!(batch_resolver(count, monolithic.merged_entries()), resolver);
+        let scanned: Vec<u64> = queries
+            .iter()
+            .map(|&query| {
+                let (sum_a, sum_b) = scan_rank_terms(&station, query);
+                finish_rank_terms(sum_a, sum_b, p).to_bits()
+            })
+            .collect();
+        for index in indexes {
+            let batch = index.estimate_batch(&queries);
+            let bits: Vec<u64> = batch.estimates.iter().map(|e| e.to_bits()).collect();
+            assert_eq!(bits, scanned, "{count} queries via {resolver:?}");
+            let single: Vec<u64> = queries
+                .iter()
+                .map(|&query| index.estimate(query).to_bits())
+                .collect();
+            assert_eq!(single, scanned, "{count} single queries");
+            if resolver == BatchResolver::PartitionPoint {
+                assert_eq!(batch.gallop_steps, 0, "no sweep below the rule");
+            }
+        }
+    }
+}
+
+/// One batch of two rate tiers, one a query short of the fan-out cutoff
+/// and one at it, releases exactly what per-request `answer` calls on a
+/// scan-only broker release, estimate and noise alike.
+#[test]
+fn batch_tiers_straddling_the_fan_out_cutoff_match_per_request_answers() {
+    let per_node = 1_200;
+    let edge_ranges = edge_queries(ESTIMATE_FAN_OUT_MIN, per_node / 4);
+    // Looser demands need a lower sampling rate, so their tier runs
+    // first; inputs already in tier order make `answer` in input order
+    // the sequence the batch driver replays.
+    let loose = Accuracy::new(0.2, 0.5).expect("valid");
+    let strict = Accuracy::new(0.1, 0.6).expect("valid");
+    let workload: Vec<QueryRequest> = edge_ranges[..ESTIMATE_FAN_OUT_MIN - 1]
+        .iter()
+        .map(|&query| QueryRequest::new(query, loose))
+        .chain(
+            edge_ranges
+                .iter()
+                .map(|&query| QueryRequest::new(query, strict)),
+        )
+        .collect();
+    let network = || FlatNetwork::from_partitions(edge_partitions(6, per_node), 17);
+    let released = |answer: Result<PrivateAnswer, CoreError>| {
+        answer.map(|a| (a.value.to_bits(), a.sample_estimate.to_bits()))
+    };
+
+    let mut batched = DataBroker::new(network(), 17);
+    batched.set_index_threshold(0);
+    let report = batched.answer_batch(&workload);
+    assert_eq!(report.stats.rate_tiers, 2);
+    assert_eq!(report.stats.indexed_estimates, workload.len() as u64);
+    assert_eq!(
+        report.stats.fan_out_threads,
+        Runtime::global().lanes_for(ESTIMATE_FAN_OUT_MIN) as u64
+    );
+
+    let mut sequential = DataBroker::new(network(), 17);
+    sequential.set_index_threshold(usize::MAX);
+    for (i, (request, answer)) in workload.iter().zip(report.answers).enumerate() {
+        assert_eq!(
+            released(answer),
+            released(sequential.answer(request)),
+            "request {i}: {request}"
+        );
+    }
+    assert_eq!(sequential.counters().indexed_estimates, 0);
 }
