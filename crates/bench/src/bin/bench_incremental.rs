@@ -27,7 +27,8 @@
 //! * `monolithic` — a fresh [`RankIndex`] built every epoch (what the
 //!   broker did before this change);
 //! * `segmented` — one [`SegmentedRankIndex`] built at epoch 0 and fed
-//!   each round's [`RoundDelta`] via `absorb_delta`.
+//!   each round's [`RoundDelta`](prc_net::network::RoundDelta) via
+//!   `absorb_delta`.
 //!
 //! Every cell checks all three strategies release bit-identical
 //! estimates, on every driver; the summary asserts the cross-driver

@@ -393,8 +393,8 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
     /// Detaches the current index (if one is live) together with a full
     /// clone of the station it answers for, so a coordinator can offer
     /// it to another broker over the same data via
-    /// [`DataBroker::install_index_cache`]. The slot reverts to
-    /// [`IndexState::Stale`].
+    /// [`DataBroker::install_index_cache`]. The slot reverts to stale:
+    /// the next Estimate builds or adopts an index afresh.
     pub fn take_index_cache(&mut self) -> Option<IndexCacheHandle> {
         match std::mem::replace(&mut self.index, IndexState::Stale) {
             IndexState::Ready(_, index) => Some(IndexCacheHandle {

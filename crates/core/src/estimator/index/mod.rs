@@ -163,10 +163,10 @@ pub(crate) fn node_rank_terms(
 /// The per-node reference path: accumulates the exact integer aggregates
 /// `(ΣA, ΣB)` with two binary searches per data-bearing node.
 ///
-/// [`crate::estimator::RankCounting::estimate`] uses this whenever the
-/// station reports a uniform sampling probability; every index must
-/// agree with it bit-for-bit on every query (enforced by the property
-/// tests and the benches' self-checks).
+/// [`RankCounting`](crate::estimator::RankCounting)'s `estimate` uses
+/// this whenever the station reports a uniform sampling probability;
+/// every index must agree with it bit-for-bit on every query (enforced
+/// by the property tests and the benches' self-checks).
 pub fn scan_rank_terms(station: &BaseStation, query: RangeQuery) -> (i64, i64) {
     let mut sum_a: i64 = 0;
     let mut sum_b: i64 = 0;

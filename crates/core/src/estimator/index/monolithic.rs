@@ -95,7 +95,8 @@ impl RankIndex {
     }
 
     /// The exact integer aggregates `(ΣA, ΣB)` for one query — must match
-    /// [`scan_rank_terms`] exactly on the same station.
+    /// [`scan_rank_terms`](super::scan_rank_terms) exactly on the same
+    /// station.
     pub fn rank_terms(&self, query: RangeQuery) -> (i64, i64) {
         self.arrays.rank_terms(query)
     }

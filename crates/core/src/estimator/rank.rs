@@ -117,7 +117,8 @@ impl RangeCountEstimator for RankCounting {
 
     /// Canonical station-level estimate: exact integer aggregation over
     /// the per-node boundary searches whenever the station has one
-    /// uniform sampling probability (bit-identical to [`RankIndex`]),
+    /// uniform sampling probability (bit-identical to
+    /// [`RankIndex`](crate::estimator::RankIndex)),
     /// falling back to the per-node float sum otherwise.
     fn estimate(&self, station: &BaseStation, query: RangeQuery) -> f64 {
         match station.uniform_probability() {

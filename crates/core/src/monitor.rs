@@ -6,7 +6,8 @@
 //! §VI). [`ContinuousMonitor`] runs the full private pipeline once per
 //! *epoch* over a sliding window of recent records:
 //!
-//! 1. the window advances and a fresh network is built over its contents;
+//! 1. the window advances and a fresh network is built over its contents,
+//!    dealt round-robin in arrival order;
 //! 2. the broker answers the standing query at the epoch's accuracy;
 //! 3. the epoch's effective budget is charged to a session accountant —
 //!    the monitor stops (returns [`CoreError::Dp`]) when the session
@@ -17,8 +18,19 @@
 //! over disjoint windows would compose in parallel; the accountant here
 //! is deliberately conservative and charges sequentially, which stays
 //! correct for overlapping windows.
+//!
+//! Each node ships its samples with their local ranks, so every epoch
+//! network needs each node's data sorted. The monitor keeps each
+//! round-robin node's values sorted across epochs instead of sorting a
+//! fresh copy of the window each time: an epoch sorts only the records
+//! that arrived since the previous epoch, and per node drops the evicted
+//! values and merges the arrivals in, so each node's data arrives
+//! sorted. Values equal under `f64::total_cmp` have equal bits, so every
+//! node holds exactly the data a snapshot of the window partitioned by
+//! [`FlatNetwork::from_dataset`] with
+//! [`PartitionStrategy::RoundRobin`](prc_data::partition::PartitionStrategy::RoundRobin)
+//! would give it.
 
-use prc_data::partition::PartitionStrategy;
 use prc_data::record::{AirQualityIndex, PollutionRecord};
 use prc_data::stream::SlidingWindow;
 use prc_dp::budget::{BudgetAccountant, Epsilon};
@@ -102,6 +114,13 @@ pub struct EpochResult {
 pub struct ContinuousMonitor {
     config: MonitorConfig,
     window: SlidingWindow,
+    /// The window's `config.index` values dealt into `k` classes, `k`
+    /// the node count of the last epoch: class `c` holds the
+    /// `(value, sequence number)` pairs with `seq % k == c`, ordered by
+    /// `f64::total_cmp`. Kept in step with the window by
+    /// [`ContinuousMonitor::answer_epoch`], up to sequence number `synced`.
+    classes: Vec<Vec<(f64, u64)>>,
+    synced: u64,
     accountant: BudgetAccountant,
     /// The previous epoch's query index, threaded into the next epoch's
     /// broker. Adoption is keyed on full structural station equality, so
@@ -123,6 +142,8 @@ impl ContinuousMonitor {
         assert!(config.nodes > 0, "monitor needs at least one node");
         ContinuousMonitor {
             window: SlidingWindow::new(config.window_seconds),
+            classes: Vec::new(),
+            synced: 0,
             accountant: BudgetAccountant::new(config.session_budget),
             config,
             index_cache: None,
@@ -170,18 +191,12 @@ impl ContinuousMonitor {
     ///   (nothing is released in that case);
     /// * any pipeline error from the underlying broker.
     pub fn answer_epoch(&mut self) -> Result<EpochResult, CoreError> {
-        let snapshot = self.window.snapshot();
-        if snapshot.is_empty() {
+        let parts = self.sync_parts();
+        if parts.is_empty() {
             return Err(CoreError::NoSamples);
         }
-        let nodes = self.config.nodes.min(snapshot.len());
-        let network = FlatNetwork::from_dataset(
-            &snapshot,
-            self.config.index,
-            nodes,
-            PartitionStrategy::RoundRobin,
-            self.config.seed ^ self.epoch,
-        );
+        let window_size = self.window.len();
+        let network = FlatNetwork::from_partitions(parts, self.config.seed ^ self.epoch);
         let mut broker = DataBroker::new(network, self.config.seed ^ (self.epoch << 17));
         // Thread the session accountant through the epoch broker: the
         // pipeline's Reserve stage holds this epoch's effective ε′
@@ -206,7 +221,7 @@ impl ContinuousMonitor {
         let answer = outcome?;
         let result = EpochResult {
             epoch: self.epoch,
-            window_size: snapshot.len(),
+            window_size,
             answer,
             budget_remaining: self.accountant.remaining().value(),
             stages: broker.counters(),
@@ -214,6 +229,68 @@ impl ContinuousMonitor {
         };
         self.epoch += 1;
         Ok(result)
+    }
+
+    /// Brings the dealt classes up to the window and returns the
+    /// epoch's node data, each part sorted: node `i` gets the records at
+    /// window positions `j ≡ i (mod k)`, as
+    /// [`PartitionStrategy::RoundRobin`](prc_data::partition::PartitionStrategy::RoundRobin)
+    /// deals a snapshot, with `k = min(config.nodes, window)`. Window
+    /// position `j` is sequence number `front + j`, so node `i` is class
+    /// `(i + front) mod k`. Empty when the window is.
+    fn sync_parts(&mut self) -> Vec<Vec<f64>> {
+        let k = self.config.nodes.min(self.window.len());
+        if k == 0 {
+            self.classes.clear();
+            return Vec::new();
+        }
+        let front = self.window.front_seq();
+        if k != self.classes.len() {
+            // The node count moved (the window holds fewer records than
+            // `config.nodes`, or did): deal the whole window afresh.
+            self.classes = vec![Vec::new(); k];
+            self.synced = front;
+        }
+        let class_of = |seq: u64| (seq % k as u64) as usize;
+        // The values ingested since the last epoch; `fresh[i]` has
+        // sequence number `first + i`.
+        let first = self.synced.max(front);
+        let index = self.config.index;
+        let fresh: Vec<f64> = self
+            .window
+            .records_from(first)
+            .map(|record| record.value(index))
+            .collect();
+        self.synced = self.window.ingested();
+        let mut arrived: Vec<(f64, u64)> = Vec::new();
+        let mut parts = vec![Vec::new(); k];
+        for (c, class) in self.classes.iter_mut().enumerate() {
+            // Class `c`'s arrivals sit `k` apart in `fresh`.
+            arrived.clear();
+            arrived.extend(
+                ((c + k - class_of(first)) % k..fresh.len())
+                    .step_by(k)
+                    .map(|i| (fresh[i], first + i as u64)),
+            );
+            arrived.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            class.retain(|&(_, seq)| seq >= front);
+            // Merge the arrivals in from the back, in place.
+            let mut old = class.len();
+            let mut new = arrived.len();
+            class.resize(old + new, (0.0, 0));
+            while new > 0 {
+                let (value, seq) = arrived[new - 1];
+                if old > 0 && class[old - 1].0.total_cmp(&value).is_gt() {
+                    class[old + new - 1] = class[old - 1];
+                    old -= 1;
+                } else {
+                    class[old + new - 1] = (value, seq);
+                    new -= 1;
+                }
+            }
+            parts[(c + k - class_of(front)) % k] = class.iter().map(|&(value, _)| value).collect();
+        }
+        parts
     }
 }
 

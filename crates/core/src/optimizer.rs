@@ -232,7 +232,7 @@ pub fn plan_for_alpha_prime(
 
 /// Grids of at least this many points are swept in parallel; smaller
 /// sweeps stay sequential because the dispatch overhead would exceed
-/// the per-point work. This is the `min_work` of [`GRID_CUTOFF`].
+/// the per-point work. This is the `min_work` of `GRID_CUTOFF`.
 pub const PARALLEL_GRID_MIN: usize = 512;
 
 /// The sweep's cutoff policy, with `work` measured in grid points.

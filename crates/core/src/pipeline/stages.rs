@@ -164,14 +164,15 @@ pub struct Collected {
 
 /// Stage 2 — Collect: top the network up to the admitted target.
 ///
-/// A round that actually collects reports its [`RoundDelta`]
-/// (`prc_net::network::RoundDelta`) — the exact set of changed nodes.
-/// The query index is *not* discarded: [`prepare_index`] later absorbs
-/// the delta through the station's revision journal. The answer cache
-/// *is* delta-filtered here: cached answers whose range touches a
-/// changed node's value span are evicted, while answers over untouched
-/// ranges survive the round (eviction consumes no randomness and no
-/// budget — it only forces a fresh pipeline run on the next request).
+/// A round that actually collects reports its
+/// [`RoundDelta`](prc_net::network::RoundDelta) — the exact set of
+/// changed nodes. The query index is *not* discarded: `prepare_index`
+/// later absorbs the delta through the station's revision journal. The
+/// answer cache *is* delta-filtered here: cached answers whose range
+/// touches a changed node's value span are evicted, while answers over
+/// untouched ranges survive the round (eviction consumes no randomness
+/// and no budget — it only forces a fresh pipeline run on the next
+/// request).
 #[derive(Debug)]
 pub struct Collect {
     /// Sampling probability to reach.
@@ -225,7 +226,7 @@ pub(crate) fn evict_touched_answers<E, N: Network>(
 /// A planned and budget-held request, ready for [`Estimate`].
 ///
 /// `reservation` is a two-phase hold on the accountant: [`Settle`]
-/// commits it after a successful release, [`abort`] rolls it back if any
+/// commits it after a successful release, `abort` rolls it back if any
 /// later stage fails — the budget leak the old single-phase `spend` had
 /// on failed answers cannot happen here.
 #[derive(Debug)]

@@ -48,26 +48,24 @@ pub enum PartitionStrategy {
 /// Panics if `k == 0`.
 pub fn partition_values(values: &[f64], k: usize, strategy: PartitionStrategy) -> Vec<Vec<f64>> {
     assert!(k > 0, "cannot partition across zero nodes");
-    let mut parts: Vec<Vec<f64>> = vec![Vec::new(); k];
     match strategy {
-        PartitionStrategy::RoundRobin => {
+        PartitionStrategy::Contiguous => contiguous_chunks(values.len(), k)
+            .into_iter()
+            .map(|chunk| values[chunk].to_vec())
+            .collect(),
+        // Without sensor metadata, BySensor degenerates to RoundRobin.
+        PartitionStrategy::RoundRobin | PartitionStrategy::BySensor => {
+            // Part `i` receives exactly `len / k + [i < len % k]` values.
+            let (base, extra) = (values.len() / k, values.len() % k);
+            let mut parts: Vec<Vec<f64>> = (0..k)
+                .map(|i| Vec::with_capacity(base + usize::from(i < extra)))
+                .collect();
             for (j, &v) in values.iter().enumerate() {
                 parts[j % k].push(v);
             }
-        }
-        PartitionStrategy::Contiguous => {
-            for (i, chunk) in contiguous_chunks(values.len(), k).into_iter().enumerate() {
-                parts[i] = values[chunk].to_vec();
-            }
-        }
-        PartitionStrategy::BySensor => {
-            // Without sensor metadata, BySensor degenerates to RoundRobin.
-            for (j, &v) in values.iter().enumerate() {
-                parts[j % k].push(v);
-            }
+            parts
         }
     }
-    parts
 }
 
 /// Splits a dataset's records across `k` nodes.

@@ -88,6 +88,9 @@ impl StreamReplayer {
 pub struct SlidingWindow {
     span_seconds: i64,
     records: VecDeque<PollutionRecord>,
+    /// Records ever ingested; the `i`-th ingested record has sequence
+    /// number `i`, so the window holds `ingested - len .. ingested`.
+    ingested: u64,
 }
 
 impl SlidingWindow {
@@ -101,6 +104,7 @@ impl SlidingWindow {
         SlidingWindow {
             span_seconds,
             records: VecDeque::new(),
+            ingested: 0,
         }
     }
 
@@ -125,6 +129,7 @@ impl SlidingWindow {
             );
         }
         self.records.push_back(record);
+        self.ingested += 1;
         let horizon = record.timestamp.unix_seconds() - self.span_seconds;
         let mut evicted = 0;
         while let Some(front) = self.records.front() {
@@ -146,6 +151,29 @@ impl SlidingWindow {
     /// Number of records currently inside the window.
     pub fn len(&self) -> usize {
         self.records.len()
+    }
+
+    /// Records ingested since the window was created, evicted ones
+    /// included. This is also the sequence number the next record gets.
+    pub fn ingested(&self) -> u64 {
+        self.ingested
+    }
+
+    /// Sequence number of the oldest record in the window (equal to
+    /// [`SlidingWindow::ingested`] when the window is empty).
+    pub fn front_seq(&self) -> u64 {
+        self.ingested - self.records.len() as u64
+    }
+
+    /// The window's records with sequence number `seq` or later, oldest
+    /// first. Records evicted already are skipped, so the first one
+    /// yielded has sequence number `max(seq, front_seq())` and
+    /// `records_from(0)` is the whole window.
+    pub fn records_from(&self, seq: u64) -> impl Iterator<Item = &PollutionRecord> + '_ {
+        let skip = seq
+            .saturating_sub(self.front_seq())
+            .min(self.records.len() as u64);
+        self.records.range(skip as usize..)
     }
 
     /// True when the window holds nothing.
@@ -247,6 +275,28 @@ mod tests {
             ds.values(crate::record::AirQualityIndex::Ozone),
             vec![0.0, 300.0, 600.0]
         );
+    }
+
+    #[test]
+    fn records_from_follows_sequence_numbers_across_evictions() {
+        let mut window = SlidingWindow::new(600);
+        assert_eq!(window.records_from(0).count(), 0);
+        window.ingest_all([rec(0), rec(300), rec(600), rec(700)]);
+        // ts=0 was evicted: the window holds sequence numbers 1..4.
+        assert_eq!((window.ingested(), window.front_seq()), (4, 1));
+        let seen = |w: &SlidingWindow, from| {
+            w.records_from(from)
+                .map(|r| r.timestamp.0)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(seen(&window, 0), vec![300, 600, 700]);
+        assert_eq!(seen(&window, 3), vec![700]);
+        assert!(seen(&window, 4).is_empty());
+        assert!(seen(&window, 99).is_empty());
+        // A burst longer than the span evicts everything before it.
+        window.ingest_all([rec(5_000), rec(5_100)]);
+        assert_eq!((window.ingested(), window.front_seq()), (6, 4));
+        assert_eq!(seen(&window, 2), vec![5_000, 5_100]);
     }
 
     #[test]

@@ -85,9 +85,18 @@ impl NodeSample {
         );
         self.population_size = message.population_size;
         self.probability = self.probability.max(message.probability);
-        self.entries.extend(message.entries);
-        self.entries.sort_by_key(|e| e.rank);
-        self.entries.dedup_by_key(|e| e.rank);
+        let mut incoming = message.entries;
+        // Batches are rank-sorted without repeats by contract; restore
+        // that for any other batch (first occurrence of a rank wins).
+        if !incoming.is_sorted_by(|a, b| a.rank < b.rank) {
+            incoming.sort_by_key(|e| e.rank);
+            incoming.dedup_by_key(|e| e.rank);
+        }
+        if self.entries.is_empty() {
+            self.entries = incoming;
+        } else if !incoming.is_empty() {
+            self.entries = merge_by_rank(&self.entries, &incoming);
+        }
         before
             != (
                 self.population_size,
@@ -95,6 +104,27 @@ impl NodeSample {
                 self.entries.len(),
             )
     }
+}
+
+/// Merges two runs sorted by strictly increasing rank into one; a rank
+/// held by both keeps the entry from `held`.
+fn merge_by_rank(held: &[SampleEntry], incoming: &[SampleEntry]) -> Vec<SampleEntry> {
+    let mut merged = Vec::with_capacity(held.len() + incoming.len());
+    let (mut i, mut j) = (0, 0);
+    while i < held.len() && j < incoming.len() {
+        let (a, b) = (held[i], incoming[j]);
+        if a.rank <= b.rank {
+            merged.push(a);
+            i += 1;
+            j += usize::from(a.rank == b.rank);
+        } else {
+            merged.push(b);
+            j += 1;
+        }
+    }
+    merged.extend_from_slice(&held[i..]);
+    merged.extend_from_slice(&incoming[j..]);
+    merged
 }
 
 /// Collects sample messages and exposes per-node sample sets.
@@ -373,6 +403,50 @@ mod tests {
         assert_eq!(s.probability, 0.3);
         let ranks: Vec<u32> = s.entries().iter().map(|e| e.rank).collect();
         assert_eq!(ranks, vec![2, 5, 7], "entries must be sorted by rank");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Batches that are rank-sorted, unsorted with repeats,
+        /// overlapping earlier ones, or re-delivered leave the station
+        /// holding exactly what the extend + stable sort + dedup merge
+        /// held (the first entry seen for a rank wins), and a
+        /// re-delivered batch leaves the revision untouched.
+        #[test]
+        fn linear_merge_matches_extend_sort_dedup(
+            batches in proptest::collection::vec(proptest::collection::vec(1u32..48, 0..16), 1..10),
+            unsorted in 0u64..u64::MAX,
+        ) {
+            let mut station = BaseStation::new();
+            let mut reference: Vec<SampleEntry> = Vec::new();
+            for (b, ranks) in batches.iter().enumerate() {
+                let mut ranks = ranks.clone();
+                if (unsorted >> b) & 1 == 0 {
+                    ranks.sort_unstable();
+                    ranks.dedup();
+                }
+                // Values tell apart which batch an entry came from.
+                let message = SampleMessage {
+                    node_id: NodeId(0),
+                    population_size: 48,
+                    probability: 0.5,
+                    entries: ranks
+                        .iter()
+                        .map(|&rank| SampleEntry { value: f64::from(rank) + b as f64 / 16.0, rank })
+                        .collect(),
+                };
+                reference.extend(message.entries.iter().copied());
+                reference.sort_by_key(|e| e.rank);
+                reference.dedup_by_key(|e| e.rank);
+                station.ingest(message.clone());
+                proptest::prop_assert_eq!(station.node_sample(NodeId(0)).unwrap().entries(), &reference[..]);
+                let revision = station.revision();
+                station.ingest(message);
+                proptest::prop_assert_eq!(station.revision(), revision);
+                proptest::prop_assert_eq!(station.node_sample(NodeId(0)).unwrap().entries(), &reference[..]);
+            }
+        }
     }
 
     #[test]

@@ -134,6 +134,10 @@ impl FailurePlan {
     /// cached), so any driver asking about the same node gets the same
     /// answer in any order.
     pub fn node_is_dead(&mut self, node_id: NodeId) -> bool {
+        // Without dropout only killed nodes are dead; no draw is needed.
+        if self.dropout_probability == 0.0 {
+            return self.dead_nodes.contains(&node_id);
+        }
         if let Some(&dead) = self.decided.get(&node_id) {
             return dead;
         }
@@ -155,6 +159,11 @@ impl FailurePlan {
     /// success and `None` on loss. Draws come from a per-node stream, so
     /// the *m*-th message of a node meets the same fate in every driver.
     pub fn transmission_attempts(&mut self, node_id: NodeId) -> Option<u32> {
+        // A lossless link delivers on the first attempt whatever the
+        // node's stream would draw.
+        if self.message_loss_probability == 0.0 {
+            return Some(1);
+        }
         let seed = self.seed;
         let stream = self
             .loss_streams

@@ -235,6 +235,60 @@ pub(crate) fn total_population(nodes: &[SensorNode]) -> usize {
     nodes.iter().map(SensorNode::population_size).sum()
 }
 
+/// Sends one node's batch over `hops` links under `failure`, the step
+/// every driver shares: the batch is metered (and traced) as delivered
+/// and ingested by the station, or metered as lost. A batch lost under
+/// [`LossMode::Drop`] still registers the node's population and
+/// probability claim with the station, without the lost entries.
+/// Returns the entries delivered.
+///
+/// The batch is wrapped in its [`Message`] once and metered by
+/// reference, then moved on to the station.
+pub(crate) fn ship_batch(
+    batch: SampleMessage,
+    hops: u32,
+    failure: &mut FailurePlan,
+    meter: &CostMeter,
+    tracer: Option<&Tracer>,
+    station: &mut BaseStation,
+) -> usize {
+    let node = batch.node_id;
+    let entries = batch.entries.len();
+    let message = Message::Sample(batch);
+    let attempts = failure.transmission_attempts(node);
+    match attempts {
+        Some(attempts) => meter.record(&message, hops, attempts),
+        None => meter.record_lost(&message),
+    }
+    if let Some(tracer) = tracer {
+        tracer.record(match attempts {
+            Some(attempts) => TraceEvent::BatchDelivered {
+                node,
+                entries,
+                attempts,
+            },
+            None => TraceEvent::BatchLost { node, entries },
+        });
+    }
+    // Move the batch back out of the message it was metered as.
+    let Message::Sample(mut batch) = message else {
+        return 0;
+    };
+    match attempts {
+        Some(_) => {
+            station.ingest(batch);
+            entries
+        }
+        None => {
+            if failure.loss_mode() == LossMode::Drop {
+                batch.entries = Vec::new();
+                station.ingest(batch);
+            }
+            0
+        }
+    }
+}
+
 /// The paper's flat network: `k` sensor nodes reporting directly to one
 /// base station.
 #[derive(Debug)]
@@ -381,40 +435,14 @@ impl FlatNetwork {
             } else {
                 continue;
             }
-            let batch = node.sample_to(target);
-            let message = Message::Sample(batch.clone());
-            match self.failure.transmission_attempts(batch.node_id) {
-                Some(attempts) => {
-                    self.meter.record(&message, 1, attempts);
-                    delivered += batch.entries.len();
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchDelivered {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                            attempts,
-                        });
-                    }
-                    self.station.ingest(batch);
-                }
-                None => {
-                    self.meter.record_lost(&message);
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchLost {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                        });
-                    }
-                    // LossMode::Drop: record that the node reported (so the
-                    // station knows its population and probability claim)
-                    // but without the lost entries.
-                    if self.failure.loss_mode() == LossMode::Drop {
-                        self.station.ingest(SampleMessage {
-                            entries: Vec::new(),
-                            ..batch
-                        });
-                    }
-                }
-            }
+            delivered += ship_batch(
+                node.sample_to(target),
+                1,
+                &mut self.failure,
+                &self.meter,
+                self.tracer.as_ref(),
+                &mut self.station,
+            );
         }
         if let Some(tracer) = &self.tracer {
             let round = tracer.next_round();
@@ -634,36 +662,14 @@ impl ThreadedNetwork {
             if let Some(tracer) = &self.tracer {
                 tracer.record(TraceEvent::TopUpRequested { node: id, target });
             }
-            let message = Message::Sample(batch.clone());
-            match self.failure.transmission_attempts(id) {
-                Some(attempts) => {
-                    self.meter.record(&message, 1, attempts);
-                    delivered += batch.entries.len();
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchDelivered {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                            attempts,
-                        });
-                    }
-                    self.station.ingest(batch);
-                }
-                None => {
-                    self.meter.record_lost(&message);
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchLost {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                        });
-                    }
-                    if self.failure.loss_mode() == LossMode::Drop {
-                        self.station.ingest(SampleMessage {
-                            entries: Vec::new(),
-                            ..batch
-                        });
-                    }
-                }
-            }
+            delivered += ship_batch(
+                batch,
+                1,
+                &mut self.failure,
+                &self.meter,
+                self.tracer.as_ref(),
+                &mut self.station,
+            );
         }
         if let Some(tracer) = &self.tracer {
             let round = tracer.next_round();

@@ -1,7 +1,7 @@
 //! Sensor nodes: local data, ranks, and incremental Bernoulli sampling.
 
 // prc-lint: allow(B003, reason = "seeded per-node Bernoulli sampling randomness; not privacy noise")
-use rand::{rngs::StdRng, RngExt, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::message::{NodeId, SampleEntry, SampleMessage};
 
@@ -35,8 +35,9 @@ pub struct SensorNode {
     id: NodeId,
     /// Local data, sorted ascending. Rank `r` (1-based) = `data[r-1]`.
     data: Vec<f64>,
-    /// Whether each position has already been sampled and shipped.
-    sampled: Vec<bool>,
+    /// Bit `pos % 64` of word `pos / 64` is set once position `pos` has
+    /// been sampled and shipped; bits past `data.len()` stay clear.
+    sampled: Vec<u64>,
     /// Cumulative inclusion probability reached so far.
     probability: f64,
     rng: StdRng,
@@ -57,11 +58,11 @@ impl SensorNode {
             "node data must not contain NaN"
         );
         data.sort_by(f64::total_cmp);
-        let len = data.len();
+        let words = data.len().div_ceil(64);
         SensorNode {
             id,
             data,
-            sampled: vec![false; len],
+            sampled: vec![0; words],
             probability: 0.0,
             rng: StdRng::seed_from_u64(seed ^ (u64::from(id.0) << 32 | 0x9e37_79b9)),
         }
@@ -89,7 +90,7 @@ impl SensorNode {
 
     /// Number of elements sampled so far.
     pub fn sampled_count(&self) -> usize {
-        self.sampled.iter().filter(|&&s| s).count()
+        self.sampled.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Raises the cumulative sampling probability to `target` and returns
@@ -116,9 +117,41 @@ impl SensorNode {
             } else {
                 (target - self.probability) / (1.0 - self.probability)
             };
-            for (pos, taken) in self.sampled.iter_mut().enumerate() {
-                if !*taken && self.rng.random::<f64>() < conditional {
-                    *taken = true;
+            // One draw per unsampled position, in ascending order: the
+            // walk skips sampled positions a word at a time and keeps the
+            // draws branch-free; the positions taken are written back
+            // once per word and kept in `fresh` for the batch.
+            //
+            // A uniform `f64` draw is `(next_u64() >> 11) · 2⁻⁵³`, and
+            // scaling by a power of two is exact, so `draw < conditional`
+            // holds exactly when `next_u64() >> 11 < ⌈conditional · 2⁵³⌉`:
+            // the integer test takes the same positions without the
+            // float conversion.
+            let threshold = (conditional * (1u64 << 53) as f64).ceil() as u64;
+            let len = self.data.len();
+            let mut fresh = vec![0u64; self.sampled.len()];
+            for (w, (word, fresh_word)) in self.sampled.iter_mut().zip(&mut fresh).enumerate() {
+                let tail = len - w * 64;
+                let mut open = if tail >= 64 {
+                    !*word
+                } else {
+                    !*word & ((1 << tail) - 1)
+                };
+                let mut taken = 0u64;
+                while open != 0 {
+                    let bit = open.trailing_zeros();
+                    open &= open - 1;
+                    taken |= u64::from(self.rng.next_u64() >> 11 < threshold) << bit;
+                }
+                *word |= taken;
+                *fresh_word = taken;
+            }
+            // Sized exactly: the batch's vector becomes the station's.
+            entries.reserve_exact(fresh.iter().map(|w| w.count_ones() as usize).sum());
+            for (w, mut taken) in fresh.into_iter().enumerate() {
+                while taken != 0 {
+                    let pos = w * 64 + taken.trailing_zeros() as usize;
+                    taken &= taken - 1;
                     entries.push(SampleEntry {
                         value: self.data[pos],
                         rank: pos as u32 + 1,
@@ -152,6 +185,7 @@ impl SensorNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngExt;
 
     fn node(data: Vec<f64>, seed: u64) -> SensorNode {
         SensorNode::new(NodeId(1), data, seed)
@@ -279,6 +313,82 @@ mod tests {
         // Different ids diverge.
         let mut c = SensorNode::new(NodeId(5), (0..500).map(f64::from).collect(), 99);
         assert_ne!(a.sample_to(0.9).entries, c.sample_to(0.9).entries);
+    }
+
+    /// The per-element `Vec<bool>` walk the bitset replaced: one draw
+    /// per unsampled position, in ascending order.
+    struct Reference {
+        data: Vec<f64>,
+        sampled: Vec<bool>,
+        probability: f64,
+        rng: StdRng,
+    }
+
+    impl Reference {
+        fn sample_to(&mut self, target: f64) -> Vec<SampleEntry> {
+            let mut entries = Vec::new();
+            if target > self.probability {
+                let conditional = if self.probability >= 1.0 {
+                    0.0
+                } else {
+                    (target - self.probability) / (1.0 - self.probability)
+                };
+                for (pos, taken) in self.sampled.iter_mut().enumerate() {
+                    if !*taken && self.rng.random::<f64>() < conditional {
+                        *taken = true;
+                        entries.push(SampleEntry {
+                            value: self.data[pos],
+                            rank: pos as u32 + 1,
+                        });
+                    }
+                }
+                self.probability = target;
+            }
+            entries
+        }
+    }
+
+    #[test]
+    fn bitset_top_ups_match_the_per_element_walk() {
+        let mut targets = StdRng::seed_from_u64(0x5eed);
+        for len in [0usize, 1, 63, 64, 65, 127, 128, 200, 1_000] {
+            for seed in 0..6u64 {
+                let data: Vec<f64> = (0..len).map(|i| (i % 17) as f64).collect();
+                let id = NodeId(seed as u32);
+                let mut node = SensorNode::new(id, data, seed);
+                let mut reference = Reference {
+                    data: node.data().to_vec(),
+                    sampled: vec![false; len],
+                    probability: 0.0,
+                    rng: StdRng::seed_from_u64(seed ^ (u64::from(id.0) << 32 | 0x9e37_79b9)),
+                };
+                // Random targets, so raises, repeats and decreases; seed 5
+                // ends its sequence at p = 1.
+                let rounds = 1 + (seed as usize % 5);
+                for round in 0..=rounds {
+                    let target = if round == rounds && seed == 5 {
+                        1.0
+                    } else {
+                        targets.random_range(0.01..1.0)
+                    };
+                    let batch = node.sample_to(target);
+                    assert_eq!(
+                        batch.entries,
+                        reference.sample_to(target),
+                        "len {len}, seed {seed}, round {round}"
+                    );
+                    assert_eq!(
+                        node.sampled_count(),
+                        reference.sampled.iter().filter(|&&s| s).count()
+                    );
+                    assert_eq!(batch.probability.to_bits(), reference.probability.to_bits());
+                }
+                if seed == 5 {
+                    assert_eq!(node.sampled_count(), len);
+                    assert!(node.sample_to(1.0).entries.is_empty());
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   paper's one-sample/many-queries design avoids.
 
 use crate::base_station::BaseStation;
-use crate::failure::{FailurePlan, LossMode};
-use crate::message::{Message, NodeId, SampleMessage, MESSAGE_HEADER_BYTES};
-use crate::network::{total_population, CostMeter, Network};
+use crate::failure::FailurePlan;
+use crate::message::{Message, NodeId, MESSAGE_HEADER_BYTES};
+use crate::network::{ship_batch, total_population, CostMeter, Network};
 use crate::node::SensorNode;
 use crate::trace::{TraceEvent, Tracer};
 
@@ -154,8 +154,9 @@ impl TreeNetwork {
     /// sampling probability to `target`; its batch is charged once per
     /// hop (and, under retransmission, once per attempt per hop). Nodes
     /// cut off by a dead ancestor cannot deliver and are traced as
-    /// silent. A batch lost under [`LossMode::Drop`] dies on its first
-    /// link (one charged transmission); the node still registers its
+    /// silent. A batch lost under
+    /// [`LossMode::Drop`](crate::failure::LossMode::Drop) dies on its
+    /// first link (one charged transmission); the node still registers its
     /// population and probability claim with the station, exactly like
     /// the flat driver.
     ///
@@ -199,37 +200,14 @@ impl TreeNetwork {
                     target,
                 });
             }
-            let batch = node.sample_to(target);
-            let message = Message::Sample(batch.clone());
-            match self.failure.transmission_attempts(batch.node_id) {
-                Some(attempts) => {
-                    self.meter.record(&message, hops, attempts);
-                    delivered += batch.entries.len();
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchDelivered {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                            attempts,
-                        });
-                    }
-                    self.station.ingest(batch);
-                }
-                None => {
-                    self.meter.record_lost(&message);
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchLost {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                        });
-                    }
-                    if self.failure.loss_mode() == LossMode::Drop {
-                        self.station.ingest(SampleMessage {
-                            entries: Vec::new(),
-                            ..batch
-                        });
-                    }
-                }
-            }
+            delivered += ship_batch(
+                node.sample_to(target),
+                hops,
+                &mut self.failure,
+                &self.meter,
+                self.tracer.as_ref(),
+                &mut self.station,
+            );
         }
         if let Some(tracer) = &self.tracer {
             let round = tracer.next_round();
@@ -320,6 +298,7 @@ impl Network for TreeNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::LossMode;
 
     fn partitions(k: usize, per_node: usize) -> Vec<Vec<f64>> {
         (0..k)

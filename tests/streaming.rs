@@ -158,3 +158,164 @@ fn windowed_broker_answers_match_window_truth() {
     }
     assert!(checked >= 3, "too few windows checked: {checked}");
 }
+
+/// The epoch path `ContinuousMonitor::answer_epoch` replaced: snapshot
+/// the window, partition it round-robin through
+/// `FlatNetwork::from_dataset` and answer with a fresh broker, threading
+/// the session accountant and the index cache through the same way.
+struct SnapshotReplay {
+    config: MonitorConfig,
+    window: SlidingWindow,
+    accountant: Option<BudgetAccountant>,
+    index_cache: Option<prc::core::broker::IndexCacheHandle>,
+    epoch: u64,
+}
+
+impl SnapshotReplay {
+    fn answer_epoch(&mut self) -> Result<prc::core::monitor::EpochResult, CoreError> {
+        let snapshot = self.window.snapshot();
+        if snapshot.is_empty() {
+            return Err(CoreError::NoSamples);
+        }
+        let network = FlatNetwork::from_dataset(
+            &snapshot,
+            self.config.index,
+            self.config.nodes.min(snapshot.len()),
+            PartitionStrategy::RoundRobin,
+            self.config.seed ^ self.epoch,
+        );
+        let mut broker = DataBroker::new(network, self.config.seed ^ (self.epoch << 17));
+        broker.install_accountant(
+            self.accountant
+                .take()
+                .expect("the session accountant is home"),
+        );
+        if let Some(handle) = self.index_cache.take() {
+            broker.install_index_cache(handle);
+        }
+        let outcome = broker.answer(&QueryRequest::new(self.config.query, self.config.accuracy));
+        self.accountant = broker.take_accountant();
+        self.index_cache = broker.take_index_cache();
+        let answer = outcome?;
+        let result = prc::core::monitor::EpochResult {
+            epoch: self.epoch,
+            window_size: snapshot.len(),
+            answer,
+            budget_remaining: self
+                .accountant
+                .as_ref()
+                .expect("returned")
+                .remaining()
+                .value(),
+            stages: broker.counters(),
+            chargeable_messages: broker.network().meter().snapshot().chargeable_messages(),
+        };
+        self.epoch += 1;
+        Ok(result)
+    }
+}
+
+#[test]
+fn incremental_epochs_release_the_snapshot_paths_bits() {
+    // Heavy duplicates, ±0, ±∞ and subnormals.
+    const POOL: [f64; 12] = [
+        f64::NEG_INFINITY,
+        -3.5,
+        -0.0,
+        0.0,
+        5e-324,
+        -5e-324,
+        2.0e-310,
+        1.0,
+        7.0,
+        7.0,
+        7.0,
+        f64::INFINITY,
+    ];
+    let record = |i: u64, ts: i64| prc::data::record::PollutionRecord {
+        timestamp: prc::data::time::Timestamp(ts),
+        sensor_id: i as u32,
+        ozone: POOL[(i * 7 + i / 5) as usize % POOL.len()],
+        particulate_matter: 0.0,
+        carbon_monoxide: POOL[(i * 5 + i / 3) as usize % POOL.len()],
+        sulfur_dioxide: 0.0,
+        nitrogen_dioxide: 0.0,
+    };
+    // (records to ingest, seconds skipped before them) per epoch; records
+    // arrive three per two seconds, so a full window holds ~900.
+    let schedule: [(u64, i64); 10] = [
+        (1_200, 0),
+        // Nothing new between two epochs.
+        (0, 0),
+        (150, 0),
+        // A burst three windows long: most of it is evicted before any
+        // epoch sees it.
+        (2_500, 0),
+        (0, 0),
+        // A gap longer than the window, then fewer records than nodes:
+        // `k` drops from 8 to 5, then moves to 7.
+        (5, 700),
+        (2, 0),
+        // Back to eight nodes.
+        (300, 0),
+        (77, 1),
+        (0, 0),
+    ];
+    for index in [AirQualityIndex::Ozone, AirQualityIndex::CarbonMonoxide] {
+        let config = MonitorConfig {
+            query: RangeQuery::new(0.0, 7.0).unwrap(),
+            accuracy: Accuracy::new(0.1, 0.6).unwrap(),
+            index,
+            window_seconds: 600,
+            nodes: 8,
+            session_budget: Epsilon::new(1e6).unwrap(),
+            seed: 17,
+        };
+        let mut monitor = ContinuousMonitor::new(config);
+        let mut replay = SnapshotReplay {
+            config,
+            window: SlidingWindow::new(config.window_seconds),
+            accountant: Some(BudgetAccountant::new(config.session_budget)),
+            index_cache: None,
+            epoch: 0,
+        };
+        // An empty window is refused on both paths.
+        assert!(matches!(monitor.answer_epoch(), Err(CoreError::NoSamples)));
+        assert!(matches!(replay.answer_epoch(), Err(CoreError::NoSamples)));
+        let (mut seq, mut ts) = (0u64, 0i64);
+        let (mut node_counts, mut sampled) = (Vec::new(), Vec::new());
+        for (epoch, &(count, skip)) in schedule.iter().enumerate() {
+            ts += skip;
+            let records: Vec<_> = (0..count)
+                .map(|_| {
+                    // Two records per timestamp now and then.
+                    ts += i64::from(seq % 3 != 0);
+                    seq += 1;
+                    record(seq, ts)
+                })
+                .collect();
+            monitor.ingest(records.iter().copied());
+            replay.window.ingest_all(records);
+            let ours = monitor.answer_epoch().unwrap();
+            let theirs = replay.answer_epoch().unwrap();
+            assert_eq!(ours, theirs, "{index:?} epoch {epoch}");
+            assert_eq!(
+                ours.answer.value.to_bits(),
+                theirs.answer.value.to_bits(),
+                "{index:?} epoch {epoch}"
+            );
+            assert_eq!(
+                ours.budget_remaining.to_bits(),
+                theirs.budget_remaining.to_bits()
+            );
+            assert_eq!(ours.window_size, replay.window.len());
+            node_counts.push(config.nodes.min(ours.window_size));
+            sampled.push(ours.answer.plan.probability);
+        }
+        assert!(node_counts.contains(&5) && node_counts.contains(&7));
+        assert!(node_counts.contains(&8));
+        // Partial sampling, so the released bits depend on which node
+        // holds which values, not only on the window's contents.
+        assert!(sampled.iter().any(|&p| p < 0.5), "{sampled:?}");
+    }
+}
